@@ -9,13 +9,13 @@ over whole batches of trees encoded as per-node leaf bitmasks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
 
 import numpy as np
 
+from .cost import ratio_of
 from .errors import TooLarge
 from .graph import SimilarityGraph, base_cost
 from .tree import HcTree
@@ -149,7 +149,7 @@ def optimal_ratio_bruteforce(g: SimilarityGraph, cap: int = HARD_CAP) -> Optimum
     level = _initial_level()
     if n == 2:
         best_tc = _total_costs(level, pair_masks, pair_weights)[0].item()
-        return Optimum(rho=_as_ratio(best_tc, base, g.integral),
+        return Optimum(rho=ratio_of(best_tc, base, g.integral),
                        tree=HcTree.from_nested(_nested_from_masks(level[0])),
                        trees_searched=1)
 
@@ -176,12 +176,6 @@ def optimal_ratio_bruteforce(g: SimilarityGraph, cap: int = HARD_CAP) -> Optimum
                 best_tc = val
                 best_gidx = gidx
                 best_row = chunk[pos].copy()
-    return Optimum(rho=_as_ratio(best_tc, base, g.integral),
+    return Optimum(rho=ratio_of(best_tc, base, g.integral),
                    tree=HcTree.from_nested(_nested_from_masks(best_row)),
                    trees_searched=searched)
-
-
-def _as_ratio(total, base, integral: bool) -> Union[Fraction, float]:
-    if base == 0:
-        return Fraction(1) if total == 0 else math.inf
-    return Fraction(total, base) if integral else total / base

@@ -75,17 +75,18 @@ def triplet_cost(g: SimilarityGraph, t: HcTree, i: int, j: int, k: int) -> Value
 
 
 def ratio_cost(g: SimilarityGraph, t: HcTree) -> Union[Fraction, float]:
-    """total / base, with 0/0 = 1 and positive/0 = +inf.
+    """total / base, with 0/0 = 1 and positive/0 = +inf; see ``ratio_of``."""
+    return ratio_of(total_cost(g, t), base_cost(g), g.integral)
 
-    Exact Fraction for integer-weighted graphs, float otherwise.
+
+def ratio_of(total: Value, base: Value, integral: bool) -> Union[Fraction, float]:
+    """The ratio rule: total / base, with 0/0 = 1 and positive/0 = +inf.
+
+    Exact Fraction when ``integral``, float otherwise.
     """
-    tot = total_cost(g, t)
-    base = base_cost(g)
     if base == 0:
-        return Fraction(1) if tot == 0 else math.inf
-    if g.integral:
-        return Fraction(tot, base)
-    return tot / base
+        return Fraction(1) if total == 0 else math.inf
+    return Fraction(total, base) if integral else total / base
 
 
 def find_inconsistent_triplet(
@@ -139,11 +140,6 @@ def cost_report(g: SimilarityGraph, t: HcTree) -> CostReport:
     else:
         das = tot = 0
     base = base_cost(g)
-    if base == 0:
-        ratio: Union[Fraction, float] = Fraction(1) if tot == 0 else math.inf
-    elif g.integral:
-        ratio = Fraction(tot, base)
-    else:
-        ratio = tot / base
-    return CostReport(dasgupta=das, total=tot, base=base, ratio=ratio,
+    return CostReport(dasgupta=das, total=tot, base=base,
+                      ratio=ratio_of(tot, base, g.integral),
                       consistent=is_consistent(g, t))

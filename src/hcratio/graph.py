@@ -24,6 +24,8 @@ from .errors import (
     SelfLoop,
 )
 
+INT64_LIMIT = 2**63
+
 
 @dataclass(frozen=True)
 class TripletType:
@@ -68,7 +70,9 @@ class SimilarityGraph:
     """Immutable similarity graph over vertices ``0..n-1``.
 
     ``weights`` is kept as a dense numpy matrix: int64 when every entry is
-    integral (all downstream sums stay exact), float64 otherwise.  ``labels``
+    integral, float64 otherwise.  Integer weights must satisfy
+    max weight x n^3 < 2^63, the bound under which every cost sum is exact
+    in int64; larger ones raise InvalidWeight.  ``labels``
     maps vertex index to the external name used in files and Newick trees.
     ``epsilon`` is the absolute tolerance of the weight-equality predicate
     used for triplet classification (0 means exact comparison).
@@ -90,10 +94,15 @@ class SimilarityGraph:
                 w = w.astype(np.int64)
             else:
                 w = w.astype(np.float64)
-        else:
-            w = w.astype(np.int64)
         if w.size and w.min() < 0:
             raise InvalidWeight("weights must be nonnegative")
+        if w.dtype.kind in "iu":
+            # every cost sum has fewer than n^3 terms of at most max_w each
+            if w.size and int(w.max()) * w.shape[0] ** 3 >= INT64_LIMIT:
+                raise InvalidWeight(
+                    "integer weights too large: max weight x n^3 must stay "
+                    "below 2^63 for exact int64 sums")
+            w = w.astype(np.int64)
         if not np.array_equal(w, w.T):
             raise InvalidWeight("weight matrix must be symmetric")
         if np.any(np.diagonal(w) != 0):
@@ -198,16 +207,20 @@ def min_triplet_cost(g: SimilarityGraph, i: int, j: int, k: int):
 def base_cost(g: SimilarityGraph):
     """Sum of min_triplet_cost over all unordered triplets (0 when n < 3).
 
-    Vectorized per smallest index i: for fixed i the contributions over pairs
-    j < k reduce to elementwise sums/maxima of one weight row against the
-    trailing submatrix.  Summation order is fixed, so results are
-    deterministic; with integer weights they are exact int64 arithmetic.
+    Integer weights are counted exactly in int64: base = (n-2) * sum(w) -
+    sum over pairs e of w_e * c_e, where c_e is the number of triplets whose
+    maximum is e.  Pairs are ranked by weight with ties broken by pair index,
+    which never changes a triplet's maximum weight, so c_e counts the third
+    vertices whose pairs with both ends of e rank below e.
+
+    Float weights run a per-row loop over the trailing submatrix instead; its
+    fixed summation order keeps float results reproducible to the bit.
     """
+    if g.integral:
+        return _integer_base_cost(g)
     W = g.weights
     n = g.n
-    if n < 3:
-        return 0 if g.integral else 0.0
-    total = 0 if g.integral else 0.0
+    total = 0.0
     for i in range(n - 2):
         row = W[i, i + 1:]
         sub = W[i + 1:, i + 1:]
@@ -216,6 +229,29 @@ def base_cost(g: SimilarityGraph):
         iu = np.triu_indices(row.shape[0], 1)
         total += (three[iu] - high[iu]).sum().item()
     return total
+
+
+def _integer_base_cost(g: SimilarityGraph) -> int:
+    n = g.n
+    if n < 3:
+        return 0
+    iu = np.triu_indices(n, 1)
+    w = g.weights[iu]
+    pairs = len(w)
+    rank_t = np.int32 if pairs < 2**31 else np.int64
+    ranks = np.empty(pairs, dtype=rank_t)
+    ranks[np.argsort(w, kind="stable")] = np.arange(pairs, dtype=rank_t)
+    R = np.full((n, n), pairs, dtype=rank_t)  # diagonal outranks every pair
+    R[iu] = ranks
+    R[iu[1], iu[0]] = ranks
+    heaviest = np.empty(pairs, dtype=np.int64)
+    start = 0
+    for u in range(n - 1):
+        r = R[u, u + 1:, None]
+        heaviest[start:start + n - 1 - u] = np.count_nonzero(
+            (R[u + 1:] < r) & (R[u] < r), axis=1)
+        start += n - 1 - u
+    return (n - 2) * w.sum().item() - int(w @ heaviest)
 
 
 def load_edge_list(text: str, epsilon: float = 0.0) -> SimilarityGraph:
@@ -305,6 +341,8 @@ def _parse_weight(token: str, lineno: int):
     else:
         if w < 0:
             raise InvalidWeight(f"line {lineno}: negative weight {token}")
+        if w >= INT64_LIMIT:
+            raise InvalidWeight(f"line {lineno}: weight {token} does not fit int64")
         return w
     try:
         w = float(token)

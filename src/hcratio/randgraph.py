@@ -12,6 +12,7 @@ from __future__ import annotations
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb, inf
 from typing import Union
 
@@ -118,21 +119,37 @@ def gen_planted(n: int, p: float, q: float, seed: int) -> SimilarityGraph:
     return _sample(PlantedModel(n, p, q).probability_matrix(), seed)
 
 
-def expected_base_cost(P: ProbabilityMatrix) -> float:
-    """Expected base cost: per triplet, 2x all-three plus each exactly-two term."""
-    p = P.p
-    n = P.n
-    total = 0.0
-    for i in range(n - 2):
-        a = p[i, i + 1:]
-        pij, pik = a[:, None], a[None, :]
-        pjk = p[i + 1:, i + 1:]
-        tri = pij * pik * pjk
-        wedge = (pij * pjk * (1.0 - pik) + pjk * pik * (1.0 - pij)
-                 + pik * pij * (1.0 - pjk))
-        iu = np.triu_indices(n - i - 1, 1)
-        total += float((2.0 * tri + wedge)[iu].sum())
-    return total
+def _triplet_base(a: Fraction, b: Fraction, c: Fraction) -> Fraction:
+    """Expected base cost of one triplet with pair probabilities a, b, c.
+
+    E[sum] - E[max] of three independent indicators.
+    """
+    return a * b + b * c + c * a - a * b * c
+
+
+def expected_base_cost(model: Union[ProbabilityMatrix, Model]) -> float:
+    """Expected base cost: per triplet, E[sum of weights] - E[max weight].
+
+    For an ErModel or PlantedModel the value is exact: triplets fall into
+    at most two probability patterns, each counted in closed form in
+    Fraction arithmetic from the float parameters, and the sum is rounded
+    to float once.  An arbitrary ProbabilityMatrix uses the identity
+    sum_i (s_i^2 - sum_j p_ij^2) / 2 - tr(P^3) / 6, with s the row sums,
+    in float arithmetic.
+    """
+    if isinstance(model, ErModel):
+        p = Fraction(model.p)
+        return float(comb(model.n, 3) * _triplet_base(p, p, p))
+    if isinstance(model, PlantedModel):
+        h = model.n // 2
+        p, q = Fraction(model.p), Fraction(model.q)
+        return float(2 * comb(h, 3) * _triplet_base(p, p, p)
+                     + 2 * h * comb(h, 2) * _triplet_base(p, q, q))
+    p = model.p
+    s = p.sum(axis=1)
+    wedges = float((s * s - (p * p).sum(axis=1)).sum()) / 2.0
+    triangles = float(((p @ p) * p).sum()) / 6.0
+    return wedges - triangles
 
 
 def expectation_tree_total_cost(model: Model) -> float:
@@ -205,7 +222,7 @@ def run_experiment(model: Model, trials: int, seed_base: int,
         samples=trials,
         seeds=seeds,
         base_costs=bases,
-        expected_base_cost=expected_base_cost(P),
+        expected_base_cost=expected_base_cost(model),
         expectation_tree_total_cost=tree_total,
         predicted_rho=predicted_rho(model),
         rho_estimates=rhos,

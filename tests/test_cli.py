@@ -166,6 +166,16 @@ def test_random_er_text(capsys):
     assert lines[7].startswith("rho-mean ")
 
 
+@pytest.mark.parametrize("model, want", [
+    (["--er", "40", "0.5"], "expected-base 6175.0"),
+    (["--planted", "40", "0.5", "0.1"], "expected-base 2223.0"),
+])
+def test_random_expected_base_closed_form(capsys, model, want):
+    code, out, _ = run(capsys, "random", *model, "--trials", "1", "--seed", "1")
+    assert code == 0
+    assert want in out.splitlines()
+
+
 def test_random_records_layout(capsys):
     code, out, _ = run(capsys, "random", "--planted", "10", "0.8", "0.2",
                        "--trials", "3", "--seed", "11", "--records")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hcratio import (
     HcTree,
+    InvalidWeight,
     LeafMismatch,
     cost_report,
     dasgupta_cost,
@@ -23,6 +24,7 @@ from helpers import (
     clique_graph,
     graph_from,
     matching_graph,
+    oracle_base,
     oracle_dasgupta,
     oracle_total,
     oracle_triplet_sum,
@@ -141,6 +143,30 @@ def test_identities_on_random_pairs(n, seed):
     assert tot == oracle_triplet_sum(g.weights, nested)
     assert tot == sum(triplet_cost(g, t, i, j, k)
                       for i, j, k in combinations(range(n), 3))
+
+
+@given(st.integers(2, 9), st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_exact_up_to_the_int64_weight_bound(n, seed):
+    # max weight x n^3 < 2^63 keeps every cost sum exact in int64
+    limit = (2**63 - 1) // n**3
+    rng = np.random.default_rng(seed)
+    W = np.zeros((n, n), dtype=np.int64)
+    iu = np.triu_indices(n, 1)
+    W[iu] = rng.integers(limit // 2, limit, size=len(iu[0]), endpoint=True)
+    W[0, 1] = limit
+    W = W + W.T
+    nested = random_nested(rng, n)
+    t = HcTree.from_nested(nested)
+    g = graph_from(W)
+    rep = cost_report(g, t)
+    assert rep.dasgupta == dasgupta_cost(g, t) == oracle_dasgupta(W, nested)
+    assert rep.total == total_cost(g, t) == oracle_total(W, nested)
+    assert rep.base == oracle_base(W)
+    assert rep.ratio == (Fraction(rep.total, rep.base) if rep.base else 1)
+    W[0, 1] = W[1, 0] = limit + 1
+    with pytest.raises(InvalidWeight):
+        graph_from(W)
 
 
 @given(st.integers(3, 7), st.integers(0, 10**6))

@@ -121,6 +121,14 @@ def test_edge_list_rejects_garbage():
         load_edge_list("a b -3\n")
 
 
+def test_loaders_reject_integers_beyond_int64():
+    big = str(2**63)
+    with pytest.raises(InvalidWeight):
+        load_edge_list(f"a b {big}\n")
+    with pytest.raises(InvalidWeight):
+        load_matrix(f"2\n0 {big}\n{big} 0\n")
+
+
 def test_matrix_format():
     g = load_matrix("3\n0 1 0\n1 0 2\n0 2 0\n")
     assert g.n == 3 and g.weight(1, 2) == 2
@@ -232,6 +240,27 @@ def test_base_cost_small_graphs_match_loop_oracle():
         n = int(rng.integers(3, 9))
         g = random_int_graph(rng, n, wmax=4)
         assert base_cost(g) == oracle_base(g.weights)
+
+
+@st.composite
+def integer_graphs(draw, max_n=12):
+    """Integer weight matrices: few tied levels, or every weight distinct."""
+    n = draw(st.integers(0, max_n))
+    pairs = n * (n - 1) // 2
+    if draw(st.booleans()):
+        ws = draw(st.lists(st.integers(0, 3), min_size=pairs, max_size=pairs))
+    else:
+        ws = draw(st.lists(st.integers(0, 10**12), min_size=pairs,
+                           max_size=pairs, unique=True))
+    W = np.zeros((n, n), dtype=np.int64)
+    W[np.triu_indices(n, 1)] = ws
+    return W + W.T
+
+
+@given(integer_graphs())
+@settings(max_examples=200, deadline=None)
+def test_base_cost_matches_loop_oracle_on_ties_and_distinct_levels(W):
+    assert base_cost(graph_from(W)) == oracle_base(W)
 
 
 def test_base_cost_trivial_sizes():

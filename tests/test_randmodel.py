@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -64,26 +65,46 @@ def test_generation_deterministic_by_seed():
     assert not np.array_equal(a.weights, c.weights)
 
 
-def oracle_expected_base(P):
+def oracle_expected_base(P, num=float):
     # E[two smallest of three indicators] = E[sum] - E[max],
     # and the max is 1 unless all three pairs stay absent
     p = P.p
-    out = 0.0
+    out = num(0)
     for i, j, k in combinations(range(P.n), 3):
-        s = p[i, j] + p[i, k] + p[j, k]
-        emax = 1.0 - (1 - p[i, j]) * (1 - p[i, k]) * (1 - p[j, k])
-        out += s - emax
+        a, b, c = num(p[i, j]), num(p[i, k]), num(p[j, k])
+        out += a + b + c - (1 - (1 - a) * (1 - b) * (1 - c))
     return out
 
 
-@pytest.mark.parametrize("model", [
-    ErModel(8, 0.5), ErModel(12, 0.25), PlantedModel(10, 0.7, 0.2),
-    PlantedModel(8, 0.9, 0.1),
-])
+MODELS = [
+    ErModel(8, 0.5), ErModel(12, 0.25), ErModel(9, 0.37), ErModel(11, 0.1),
+    PlantedModel(10, 0.7, 0.2), PlantedModel(8, 0.9, 0.1),
+    PlantedModel(12, 0.6, 0.35), PlantedModel(2, 0.5, 0.1),
+]
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_expected_base_closed_form_is_exact_value_rounded_once(model):
+    P = model.probability_matrix()
+    got = expected_base_cost(model)
+    assert got == float(oracle_expected_base(P, Fraction))
+    assert got == pytest.approx(oracle_expected_base(P), rel=1e-12)
+
+
+@pytest.mark.parametrize("model", MODELS)
 def test_expected_base_matches_oracle(model):
     P = model.probability_matrix()
     assert expected_base_cost(P) == pytest.approx(oracle_expected_base(P),
                                                   rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 16])
+def test_expected_base_of_arbitrary_matrix_matches_oracle(n):
+    rng = np.random.default_rng(n)
+    p = np.triu(rng.random((n, n)), 1)
+    P = ProbabilityMatrix(p + p.T)
+    assert expected_base_cost(P) == pytest.approx(oracle_expected_base(P),
+                                                  rel=1e-12, abs=1e-12)
 
 
 def test_expected_base_er_closed_form():
