@@ -243,9 +243,9 @@ def test_base_cost_small_graphs_match_loop_oracle():
 
 
 @st.composite
-def integer_graphs(draw, max_n=12):
+def integer_graphs(draw):
     """Integer weight matrices: few tied levels, or every weight distinct."""
-    n = draw(st.integers(0, max_n))
+    n = draw(st.integers(0, 12))
     pairs = n * (n - 1) // 2
     if draw(st.booleans()):
         ws = draw(st.lists(st.integers(0, 3), min_size=pairs, max_size=pairs))
