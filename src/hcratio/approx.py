@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional
 
+import numpy as np
+
 from .errors import InvalidDelta
-from .graph import SimilarityGraph
+from .graph import INT64_LIMIT, SimilarityGraph
 from .tree import HcTree, binarize
 
 
@@ -50,18 +51,37 @@ def _delta_squared(delta) -> Fraction:
 
 
 def build_constraints(g: SimilarityGraph, delta) -> set[RootedTripletConstraint]:
-    """Forced merges: triplets whose top weight exceeds delta^2 x runner-up."""
+    """Forced merges: triplets whose top weight exceeds delta^2 x runner-up.
+
+    Pair (u, v) must merge before k when W[u,v] > delta^2 x max(W[u,k],
+    W[v,k]); as delta >= 1, only a triplet's unique heaviest pair can pass.
+    Row u tests every (v, k) with v > u at once.  Integer weights compare
+    exactly as W[u,v] x q > p x max(...), with delta^2 = p/q in lowest terms:
+    in int64 while max weight x max(p, q) < 2^63, on Python ints beyond.
+    Float weights compare W[u,v] > float(delta^2) x max(...).
+    """
     d2 = _delta_squared(delta)
-    exact = g.integral
-    d2f = float(d2)
+    W = g.weights
+    if g.integral:
+        p, q = d2.numerator, d2.denominator
+        if max(int(W.max(initial=0)), 1) * max(p, q) >= INT64_LIMIT:
+            W = W.astype(object)
+
+        def forced(w, mx):
+            return w * q > p * mx
+    else:
+        d2f = float(d2)
+
+        def forced(w, mx):
+            return w > d2f * mx
+
     out: set[RootedTripletConstraint] = set()
-    for i, j, k in combinations(range(g.n), 3):
-        edges = sorted(((g.weight(i, j), (i, j)), (g.weight(i, k), (i, k)),
-                        (g.weight(j, k), (j, k))), key=lambda e: -e[0])
-        (w1, pair), (w2, _), _ = edges
-        if (Fraction(w1) > d2 * w2) if exact else (w1 > d2f * w2):
-            out.add(RootedTripletConstraint(
-                pair=pair, outsider=next(x for x in (i, j, k) if x not in pair)))
+    for u in range(g.n - 1):
+        # k = u or v never passes: the zero diagonal makes max(...) = W[u,v]
+        v, k = np.nonzero(forced(W[u, u + 1:, None],
+                                 np.maximum(W[u][None, :], W[u + 1:])))
+        out.update(RootedTripletConstraint(pair=(u, vv), outsider=kk)
+                   for vv, kk in zip((v + u + 1).tolist(), k.tolist()))
     return out
 
 

@@ -22,7 +22,7 @@ from .tree import HcTree
 
 HARD_CAP = 10  # (2n-3)!! trees: 34,459,425 at n = 10
 
-_BIG = np.int64(1 << 30)
+_BIG = np.int8(127)  # above any leaf count; the root holds every pair
 
 
 @dataclass(frozen=True)
@@ -112,12 +112,18 @@ def enumerate_trees(n: int, cap: int = HARD_CAP) -> Iterator[HcTree]:
 
 def _total_costs(chunk: np.ndarray, pair_masks: np.ndarray,
                  pair_weights: np.ndarray) -> np.ndarray:
-    """Total cost of every tree in the chunk (rows are mask arrays)."""
-    sizes = np.bitwise_count(chunk).astype(np.int64)
+    """Total cost of every tree in the chunk (rows are mask arrays).
+
+    Runs on the transposed chunk, one contiguous row per node slot, so each
+    LCA minimum is an elementwise minimum over rows; leaf counts (at most
+    16) fit int8, which keeps the per-pair temporaries small.
+    """
+    nodes = np.ascontiguousarray(chunk.T)
+    sizes = np.bitwise_count(nodes).astype(np.int8)
     acc = np.zeros(len(chunk), dtype=pair_weights.dtype)
     for pm, w in zip(pair_masks, pair_weights):
-        holds_both = (chunk & pm) == pm
-        lca_size = np.where(holds_both, sizes, _BIG).min(axis=1)
+        holds_both = (nodes & pm) == pm
+        lca_size = np.where(holds_both, sizes, _BIG).min(axis=0)
         acc += w * (lca_size - 2)
     return acc
 

@@ -41,11 +41,18 @@ def _lca_counts(g: SimilarityGraph, t: HcTree) -> np.ndarray:
     return t.lca_leaf_counts()
 
 
+def _pair_sums(g: SimilarityGraph, M: np.ndarray) -> tuple[Value, Value]:
+    """(Dasgupta, total) cost sums over positive pairs, given LCA counts M."""
+    ii, jj = g.positive_pairs()
+    if not len(ii):
+        return 0, 0
+    w = g.weights[ii, jj]
+    return (w * M[ii, jj]).sum().item(), (w * (M[ii, jj] - 2)).sum().item()
+
+
 def dasgupta_cost(g: SimilarityGraph, t: HcTree) -> Value:
     """Sum over positive-weight pairs of weight x (leaves under their LCA)."""
-    M = _lca_counts(g, t)
-    ii, jj = g.positive_pairs()
-    return (g.weights[ii, jj] * M[ii, jj]).sum().item() if len(ii) else 0
+    return _pair_sums(g, _lca_counts(g, t))[0]
 
 
 def total_cost(g: SimilarityGraph, t: HcTree) -> Value:
@@ -54,9 +61,7 @@ def total_cost(g: SimilarityGraph, t: HcTree) -> Value:
     Computed edge-wise as weight x (LCA leaf count - 2); always >= 0, and 0
     exactly when every positive pair is merged as a sibling cherry.
     """
-    M = _lca_counts(g, t)
-    ii, jj = g.positive_pairs()
-    return (g.weights[ii, jj] * (M[ii, jj] - 2)).sum().item() if len(ii) else 0
+    return _pair_sums(g, _lca_counts(g, t))[1]
 
 
 def triplet_cost(g: SimilarityGraph, t: HcTree, i: int, j: int, k: int) -> Value:
@@ -90,13 +95,15 @@ def ratio_of(total: Value, base: Value, integral: bool) -> Union[Fraction, float
 
 
 def find_inconsistent_triplet(
-        g: SimilarityGraph, t: HcTree) -> Optional[tuple[int, int, int]]:
+        g: SimilarityGraph, t: HcTree,
+        lca: Optional[np.ndarray] = None) -> Optional[tuple[int, int, int]]:
     """Lexicographically-first triplet costing more than its weights require.
 
-    None when the tree is consistent with the graph.
+    None when the tree is consistent with the graph.  ``lca`` is the tree's
+    LCA leaf-count matrix when the caller has already computed it.
     """
     W = g.weights
-    M = _lca_counts(g, t)
+    M = _lca_counts(g, t) if lca is None else lca
     n = g.n
     for i in range(n - 2):
         idx = np.arange(i + 1, n)
@@ -130,16 +137,10 @@ def is_consistent(g: SimilarityGraph, t: HcTree) -> bool:
 
 
 def cost_report(g: SimilarityGraph, t: HcTree) -> CostReport:
-    """Evaluate all costs of the pair in one go."""
+    """Evaluate all costs of the pair in one go, from one LCA count matrix."""
     M = _lca_counts(g, t)
-    ii, jj = g.positive_pairs()
-    if len(ii):
-        w = g.weights[ii, jj]
-        das = (w * M[ii, jj]).sum().item()
-        tot = (w * (M[ii, jj] - 2)).sum().item()
-    else:
-        das = tot = 0
+    das, tot = _pair_sums(g, M)
     base = base_cost(g)
     return CostReport(dasgupta=das, total=tot, base=base,
                       ratio=ratio_of(tot, base, g.integral),
-                      consistent=is_consistent(g, t))
+                      consistent=find_inconsistent_triplet(g, t, M) is None)

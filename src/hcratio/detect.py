@@ -6,19 +6,34 @@ mutually-lighter vertices in three other blocks), then derive a two-sided
 split — by candidate scan when a claw exists, by constraint 2-coloring
 otherwise — and recurse on both sides.  Succeeds if and only if some tree
 reaches ratio 1; the tree it returns always does.
+
+Every stage asks of triplets the question ``triplet_type`` answers one at a
+time, but asks it of a whole table at once: one numpy slab per row of the
+working set's weight matrix W.  With eq(a, b) the graph's tie predicate
+(|a - b| <= epsilon, or a == b at epsilon 0), a triplet {u, v, k} is
+
+* Type-1 with heaviest pair (u, v) when W[u,v] > mx and not eq(W[u,v], mx),
+  where mx = max(W[u,k], W[v,k]);
+* Type-2 with apex x and base (u, v) when W[u,v] < min(W[x,u], W[x,v]),
+  eq(W[x,u], W[x,v]), and not both eq(W[x,u], W[u,v]) and eq(W[x,v], W[u,v])
+  (the base of a Type-2 triplet is always its strict minimum);
+* Type-3 when its three weights are pairwise eq.
+
+These rules name no order among the three pairs, so they give exactly
+``triplet_type``'s answer for any epsilon.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Optional, Union
 
 import numpy as np
 
 from .errors import NotZeroBase
-from .graph import SimilarityGraph, base_cost, triplet_type
+from .graph import INT64_LIMIT, SimilarityGraph, base_cost
 from .tree import HcTree
 
 Value = Union[int, float]
@@ -104,6 +119,73 @@ class DetectionResult:
 
 
 # ---------------------------------------------------------------------------
+# triplet table scans
+
+
+def _tie(g: SimilarityGraph):
+    """Array form of ``g.weights_equal``.
+
+    Integer gaps are compared with floor(epsilon) in int64, which is exact
+    where casting a gap beyond 2^53 to float would round it.
+    """
+    eps = g.epsilon
+    if eps == 0.0:
+        return np.equal
+    if g.integral and eps < INT64_LIMIT:
+        eps = np.int64(math.floor(eps))
+    return lambda a, b: np.abs(a - b) <= eps
+
+
+def _heaviest(w, x, y, tie):
+    """Type-1 test: w is the strict maximum over x and y, beyond a tie."""
+    mx = np.maximum(x, y)
+    return (w > mx) & ~tie(w, mx)
+
+
+def _tied_apex(base, x, y, tie):
+    """Type-2 test: legs x and y tie above the strictly lighter base."""
+    return ((base < np.minimum(x, y)) & tie(x, y)
+            & ~(tie(x, base) & tie(y, base)))
+
+
+def _block_labels(p: Partition, n: int) -> np.ndarray:
+    return np.array([p.block_of[v] for v in range(n)], dtype=np.intp)
+
+
+def _heaviest_pairs(g: SimilarityGraph):
+    """Yield (u, v), u < v, for each pair that is some triplet's Type-1 max.
+
+    Row u compares W[u,v] with max(W[u,k], W[v,k]) for every v > u and every
+    k at once; k = u or v never qualifies, as the diagonal is zero.
+    """
+    W = g.weights
+    tie = _tie(g)
+    for u in range(g.n - 1):
+        hit = _heaviest(W[u, u + 1:, None], W[u][None, :], W[u + 1:], tie)
+        for v in (np.flatnonzero(hit.any(axis=1)) + u + 1).tolist():
+            yield u, v
+
+
+def _type2_triplets(g: SimilarityGraph):
+    """(apex, u, v) index arrays, u < v, of every Type-2 triplet.
+
+    Row x tests every base pair (u, v) with x as apex at once.
+    """
+    W = g.weights
+    tie = _tie(g)
+    n = g.n
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    apex, us, vs = [], [], []
+    for x in range(n):
+        u, v = np.nonzero(
+            upper & _tied_apex(W, W[x][:, None], W[x][None, :], tie))
+        apex.append(np.full(len(u), x, dtype=np.intp))
+        us.append(u)
+        vs.append(v)
+    return np.concatenate(apex), np.concatenate(us), np.concatenate(vs)
+
+
+# ---------------------------------------------------------------------------
 # stage 1: minimal merge partition
 
 
@@ -138,52 +220,46 @@ def minimal_valid_partition(g: SimilarityGraph) -> Optional[Partition]:
 
     Two forces drive merges.  A triplet with a unique heaviest pair must
     merge that pair before its third vertex joins, so the pair shares a
-    block.  And a triplet with two tied heaviest pairs (apex x, base u, v)
-    must not see u, v merged while x sits outside; whenever the current
-    blocks do exactly that, x's block is merged in.  Repeat to fixpoint.
-    None means everything collapsed into one block: no two-sided split of
-    the working set can respect the weights.
+    block: one table scan finds every such Type-1 maximum and unions it.
+    And a triplet with two tied heaviest pairs (apex x, base u, v) must not
+    see u, v merged while x sits outside; a second scan lists these Type-2
+    triplets as arrays, and each round merges x's block into u's wherever
+    the current blocks split them that way, until no round merges.  The
+    partition is the least fixpoint of both rules, so the order of unions
+    does not change it.  None means everything collapsed into one block: no
+    two-sided split of the working set can respect the weights.
     """
     n = g.n
     if n < 2:
         raise ValueError("need at least 2 vertices")
     uf = _UnionFind(n)
-    type2: list[tuple[int, int, int]] = []  # (apex, base u, base v)
-    for i, j, k in combinations(range(n), 3):
-        tt = triplet_type(g, i, j, k)
-        if tt.is_type1:
-            uf.union(*tt.max_pair)
-        elif tt.is_type2:
-            u, v = (x for x in (i, j, k) if x != tt.apex)
-            type2.append((tt.apex, u, v))
+    for pair in _heaviest_pairs(g):
+        uf.union(*pair)
 
-    changed = True
-    while changed:
-        changed = False
-        for apex, u, v in type2:
-            ru, rv = uf.find(u), uf.find(v)
-            if ru == rv and uf.find(apex) != ru:
-                uf.union(apex, u)
-                changed = True
+    apex, u, v = _type2_triplets(g)
+    while True:
+        root = np.array([uf.find(x) for x in range(n)])
+        hit = (root[u] == root[v]) & (root[apex] != root[u])
+        if not hit.any():
+            break
+        for x, y in zip(apex[hit].tolist(), u[hit].tolist()):
+            uf.union(x, y)
 
     groups: dict[int, list[int]] = {}
-    for v in range(n):
-        groups.setdefault(uf.find(v), []).append(v)
+    for x in range(n):
+        groups.setdefault(uf.find(x), []).append(x)
     if len(groups) == 1:
         return None
     return Partition(groups.values())
 
 
 def _crossing_type2(g: SimilarityGraph, p: Partition):
-    """Yield (apex, u, v) for each two-tied-maxima triplet spanning 3 blocks."""
-    bof = p.block_of
-    for i, j, k in combinations(range(g.n), 3):
-        if len({bof[i], bof[j], bof[k]}) != 3:
-            continue
-        tt = triplet_type(g, i, j, k)
-        if tt.is_type2:
-            u, v = (x for x in (i, j, k) if x != tt.apex)
-            yield tt.apex, u, v
+    """(apex, u, v) index arrays of the Type-2 triplets spanning 3 blocks."""
+    apex, u, v = _type2_triplets(g)
+    lab = _block_labels(p, g.n)
+    ba, bu, bv = lab[apex], lab[u], lab[v]
+    keep = (ba != bu) & (ba != bv) & (bu != bv)
+    return apex[keep], u[keep], v[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -204,32 +280,45 @@ def detect_claw(g: SimilarityGraph, p: Partition) -> Optional[Claw]:
     Two labels on two *different* blocks identify a claw with (i, j) as one
     leaf pair: '0' with '(2,w)', '1' with '(2,w)', or '(2,w)' with '(2,w'')'
     at distinct weights (the larger tie is the leg weight).
+
+    Row i classifies {i, j, r} for every j > i and every r in one table
+    scan.  A pair can only yield a claw when some r is a Type-2 apex over
+    (i, j) and the non-Type-1 witnesses r span at least two blocks; only
+    such pairs, still in (i, j) order, collect labels and are matched, so
+    the claw returned is the first the full pair scan would find.
     """
-    bof = p.block_of
+    W = g.weights
+    tie = _tie(g)
     n = g.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            bi, bj = bof[i], bof[j]
-            if bi == bj:
-                continue
+    lab = _block_labels(p, n)
+    for i in range(n - 1):
+        js = np.arange(i + 1, n)
+        js = js[lab[js] != lab[i]]
+        a = W[i, js][:, None]  # w(i, j)
+        b = W[i][None, :]      # w(i, r)
+        c = W[js]              # w(j, r)
+        other = (lab[None, :] != lab[i]) & (lab[None, :] != lab[js][:, None])
+        # Type-1 triplets carry no label.  Over the minimal partition none
+        # spans three blocks (its heaviest pair shares a block), so this
+        # mask only matters for other partitions.
+        witness = other & ~(_heaviest(a, b, c, tie) | _heaviest(b, a, c, tie)
+                            | _heaviest(c, a, b, tie))
+        apex_r = other & _tied_apex(a, b, c, tie)
+        equal3 = tie(a, b) & tie(a, c) & tie(b, c)
+        lo = np.where(witness, lab, n).min(axis=1, initial=n)
+        hi = np.where(witness, lab, -1).max(axis=1, initial=-1)
+        for x in np.flatnonzero(apex_r.any(axis=1) & (lo < hi)).tolist():
             labels: dict[int, ClusterLabelSet] = {}
-            for r in range(n):
-                br = bof[r]
-                if br == bi or br == bj:
-                    continue
-                tt = triplet_type(g, i, j, r)
-                if tt.is_type1:
-                    continue  # cannot happen across 3 blocks of a held partition
-                ls = labels.setdefault(br, ClusterLabelSet())
-                if tt.is_type3:
+            for r in np.flatnonzero(witness[x]).tolist():
+                ls = labels.setdefault(int(lab[r]), ClusterLabelSet())
+                if equal3[x, r]:
                     if ls.label0 is None:
                         ls.label0 = r
-                elif tt.apex == r:
+                elif apex_r[x, r]:
                     ls.label2.setdefault(g.weight(r, i), r)
-                else:  # apex is i or j: (i, j) is one of the tied maxima
-                    if ls.label1 is None:
-                        ls.label1 = r
-            claw = _claw_from_labels(g, i, j, labels)
+                elif ls.label1 is None:  # apex is i or j: (i, j) is a tied max
+                    ls.label1 = r
+            claw = _claw_from_labels(g, i, int(js[x]), labels)
             if claw is not None:
                 return claw
     return None
@@ -308,9 +397,9 @@ def case1_bipartition(g: SimilarityGraph, p: Partition,
                 comp.add(other)
                 queue.append(other)
 
-    blocked = [False] * m
-    for apex, _, _ in _crossing_type2(g, p):
-        blocked[p.block_of[apex]] = True
+    apex, _, _ = _crossing_type2(g, p)
+    blocked = np.zeros(m, dtype=bool)
+    blocked[_block_labels(p, g.n)[apex]] = True
 
     for b in sorted(comp):
         if not blocked[b]:
@@ -334,11 +423,12 @@ def case2_bipartition(g: SimilarityGraph, p: Partition) -> Optional[Bipartition]
     split off alone.  The side containing block 0 is returned first.
     """
     m = len(p.blocks)
-    adj: list[set[int]] = [set() for _ in range(m)]
-    for _, u, v in _crossing_type2(g, p):
-        bu, bv = p.block_of[u], p.block_of[v]
-        adj[bu].add(bv)
-        adj[bv].add(bu)
+    _, u, v = _crossing_type2(g, p)
+    lab = _block_labels(p, g.n)
+    apart = np.zeros((m, m), dtype=bool)
+    apart[lab[u], lab[v]] = True
+    apart |= apart.T
+    adj = [np.flatnonzero(row).tolist() for row in apart]
 
     color = [-1] * m
     for start in range(m):
@@ -348,7 +438,7 @@ def case2_bipartition(g: SimilarityGraph, p: Partition) -> Optional[Bipartition]
         queue = deque([start])
         while queue:
             b = queue.popleft()
-            for nb in sorted(adj[b]):
+            for nb in adj[b]:
                 if color[nb] == -1:
                     color[nb] = 1 - color[b]
                     queue.append(nb)

@@ -5,11 +5,23 @@ different route than the library's vectorized implementations, so the two
 can disagree when one is wrong.
 """
 
+from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
+from hypothesis import strategies as st
 
-from hcratio import SimilarityGraph
+from hcratio import (
+    ClusterLabelSet,
+    Partition,
+    RootedTripletConstraint,
+    SimilarityGraph,
+    build_bisection,
+    triplet_type,
+)
+from hcratio.approx import _delta_squared
+from hcratio.detect import _UnionFind, _claw_from_labels
 
 
 # -- graph builders ----------------------------------------------------------
@@ -191,3 +203,145 @@ def oracle_base(W):
 def oracle_min_triplet(W, i, j, k):
     ws = sorted((W[i][j], W[i][k], W[j][k]))
     return ws[0] + ws[1]
+
+
+# -- hypothesis strategies ----------------------------------------------------
+
+@st.composite
+def tie_heavy_graphs(draw, n_min=3, n_max=10):
+    """Graphs on n_min..n_max vertices whose triplets tie often.
+
+    Three kinds: integer weights 0..3, mostly 0 (epsilon 0, 1 or 1.5);
+    non-integral float levels (epsilon 0); and levels 0..3 jittered by
+    multiples of 0.05 under epsilon 0.1, so that gaps land just inside, on
+    and just beyond the tolerance.
+    """
+    n = draw(st.integers(n_min, n_max))
+    pairs = n * (n - 1) // 2
+    kind = draw(st.sampled_from(["int", "float", "jitter"]))
+    if kind == "int":
+        # zero-heavy, so that stars, claws and perfect graphs turn up
+        vals = draw(st.lists(st.sampled_from([0, 0, 0, 1, 1, 2, 3]),
+                             min_size=pairs, max_size=pairs))
+        eps = draw(st.sampled_from([0.0, 1.0, 1.5]))
+    elif kind == "float":
+        vals = draw(st.lists(st.sampled_from([0.0, 0.5, 1.25, 1.3, 2.75]),
+                             min_size=pairs, max_size=pairs))
+        eps = 0.0
+    else:
+        vals = draw(st.lists(
+            st.tuples(st.integers(0, 3), st.integers(-3, 3)).map(
+                lambda t: max(t[0] + 0.05 * t[1], 0.0)),
+            min_size=pairs, max_size=pairs))
+        eps = 0.1
+    W = np.zeros((n, n), dtype=np.float64 if kind != "int" else np.int64)
+    W[np.triu_indices(n, 1)] = vals
+    return graph_from(W + W.T, epsilon=eps)
+
+
+# -- per-triplet loop oracles for detection and the approximation -------------
+# Triplet-at-a-time restatements of the library's table scans: each asks
+# triplet_type (or sorts the three weights) once per triplet.
+
+def oracle_minimal_valid_partition(g):
+    """The minimal merge partition, or None when it is a single block."""
+    n = g.n
+    uf = _UnionFind(n)
+    type2 = []  # (apex, base u, base v)
+    for i, j, k in combinations(range(n), 3):
+        tt = triplet_type(g, i, j, k)
+        if tt.is_type1:
+            uf.union(*tt.max_pair)
+        elif tt.is_type2:
+            u, v = (x for x in (i, j, k) if x != tt.apex)
+            type2.append((tt.apex, u, v))
+
+    changed = True
+    while changed:
+        changed = False
+        for apex, u, v in type2:
+            ru, rv = uf.find(u), uf.find(v)
+            if ru == rv and uf.find(apex) != ru:
+                uf.union(apex, u)
+                changed = True
+
+    groups = {}
+    for v in range(n):
+        groups.setdefault(uf.find(v), []).append(v)
+    if len(groups) == 1:
+        return None
+    return Partition(groups.values())
+
+
+def oracle_crossing_type2(g, p):
+    """(apex, u, v) index arrays of the two-tied-maxima triplets over 3 blocks."""
+    bof = p.block_of
+    out = []
+    for i, j, k in combinations(range(g.n), 3):
+        if len({bof[i], bof[j], bof[k]}) != 3:
+            continue
+        tt = triplet_type(g, i, j, k)
+        if tt.is_type2:
+            u, v = (x for x in (i, j, k) if x != tt.apex)
+            out.append((tt.apex, u, v))
+    cols = np.array(out, dtype=np.intp).reshape(-1, 3)
+    return cols[:, 0], cols[:, 1], cols[:, 2]
+
+
+def oracle_detect_claw(g, p):
+    """First claw over four blocks in (i, j) pair order, labels per triplet."""
+    bof = p.block_of
+    n = g.n
+    for i in range(n):
+        for j in range(i + 1, n):
+            bi, bj = bof[i], bof[j]
+            if bi == bj:
+                continue
+            labels = {}
+            for r in range(n):
+                br = bof[r]
+                if br == bi or br == bj:
+                    continue
+                tt = triplet_type(g, i, j, r)
+                if tt.is_type1:
+                    continue
+                ls = labels.setdefault(br, ClusterLabelSet())
+                if tt.is_type3:
+                    if ls.label0 is None:
+                        ls.label0 = r
+                elif tt.apex == r:
+                    ls.label2.setdefault(g.weight(r, i), r)
+                else:
+                    if ls.label1 is None:
+                        ls.label1 = r
+            claw = _claw_from_labels(g, i, j, labels)
+            if claw is not None:
+                return claw
+    return None
+
+
+def oracle_build_constraints(g, delta):
+    """Forced merges by sorting each triplet's weights; Fraction on integers."""
+    d2 = _delta_squared(delta)
+    exact = g.integral
+    d2f = float(d2)
+    out = set()
+    for i, j, k in combinations(range(g.n), 3):
+        edges = sorted(((g.weight(i, j), (i, j)), (g.weight(i, k), (i, k)),
+                        (g.weight(j, k), (j, k))), key=lambda e: -e[0])
+        (w1, pair), (w2, _), _ = edges
+        if (Fraction(w1) > d2 * w2) if exact else (w1 > d2f * w2):
+            out.add(RootedTripletConstraint(
+                pair=pair, outsider=next(x for x in (i, j, k) if x not in pair)))
+    return out
+
+
+def oracle_build_bisection(g):
+    """build_bisection with the loop oracles above as its partition, claw
+    and Type-2 stages; the recursion and the splits are the library's."""
+    with mock.patch.multiple(
+            "hcratio.detect",
+            minimal_valid_partition=oracle_minimal_valid_partition,
+            detect_claw=oracle_detect_claw,
+            _crossing_type2=oracle_crossing_type2):
+        return build_bisection(g)

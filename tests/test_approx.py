@@ -17,7 +17,14 @@ from hcratio import (
     rtc_build,
 )
 
-from helpers import graph_from, path_graph, random_int_graph, star_graph
+from helpers import (
+    graph_from,
+    oracle_build_constraints,
+    path_graph,
+    random_int_graph,
+    star_graph,
+    tie_heavy_graphs,
+)
 
 
 def test_constraint_normalizes_pair():
@@ -84,6 +91,35 @@ def test_larger_delta_emits_subset(n, seed, d1, d2):
     rng = np.random.default_rng(seed)
     g = random_int_graph(rng, n, wmax=5)
     assert build_constraints(g, d2) <= build_constraints(g, d1)
+
+
+@given(tie_heavy_graphs(),
+       st.sampled_from([1, Fraction(5, 4), 1.2, 1.5, 2, Fraction(7, 3)]))
+@settings(max_examples=100, deadline=None)
+def test_constraints_match_loop_oracle(g, delta):
+    assert build_constraints(g, delta) == oracle_build_constraints(g, delta)
+
+
+@given(st.integers(3, 7), st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_constraints_exact_at_the_int64_weight_bound(n, seed):
+    # delta^2 = 100020001 / 10^8: at weights near 2^63 / n^3 the products
+    # w x 10^8 leave int64, and the top/runner-up ratios below sit exactly
+    # on, just under and just over delta^2
+    p, q = 100020001, 10**8
+    limit = (2**63 - 1) // n**3
+    k = limit // p
+    rng = np.random.default_rng(seed)
+    near = [p * k - 1, p * k, q * k - 1, q * k, q * k + 1, limit]
+    W = np.zeros((n, n), dtype=np.int64)
+    iu = np.triu_indices(n, 1)
+    W[iu] = np.where(rng.random(len(iu[0])) < 0.7,
+                     rng.choice(near, size=len(iu[0])),
+                     rng.integers(limit // 2, limit, size=len(iu[0]),
+                                  endpoint=True))
+    g = graph_from(W + W.T)
+    assert g.integral and int(g.weights.max()) * p >= 2**63
+    assert build_constraints(g, 1.0001) == oracle_build_constraints(g, 1.0001)
 
 
 # -- constraint tree construction ---------------------------------------------

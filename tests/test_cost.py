@@ -255,3 +255,21 @@ def test_consistency_matches_triplet_scan(n, seed):
             break
     assert find_inconsistent_triplet(g, t) == expected
     assert is_consistent(g, t) == (expected is None)
+
+
+def test_cost_report_builds_one_lca_matrix(monkeypatch):
+    rng = np.random.default_rng(21)
+    g = random_int_graph(rng, 7)
+    t = HcTree.from_nested(random_nested(rng, 7))
+    calls = []
+    lca_leaf_counts = HcTree.lca_leaf_counts
+
+    def counted(self):
+        calls.append(self)
+        return lca_leaf_counts(self)
+
+    monkeypatch.setattr(HcTree, "lca_leaf_counts", counted)
+    rep = cost_report(g, t)
+    assert len(calls) == 1
+    assert rep.consistent == is_consistent(g, t)
+    assert (rep.dasgupta, rep.total) == (dasgupta_cost(g, t), total_cost(g, t))

@@ -3,6 +3,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hcratio import (
     Bipartition,
@@ -22,6 +24,7 @@ from hcratio import (
     valid_bisect,
     zero_base_cost_tree,
 )
+from hcratio.detect import _crossing_type2
 
 from helpers import (
     clique_graph,
@@ -30,8 +33,13 @@ from helpers import (
     graph_from,
     linked_stars,
     matching_graph,
+    oracle_build_bisection,
+    oracle_crossing_type2,
+    oracle_detect_claw,
+    oracle_minimal_valid_partition,
     path_graph,
     star_graph,
+    tie_heavy_graphs,
 )
 
 
@@ -470,3 +478,36 @@ def test_detect_epsilon_tolerance():
     res = build_bisection(g_tol)
     assert res.perfect
     assert res.tree.to_nested() == ((0, 1), (2, 3))
+
+
+# -- table scans against the per-triplet loop oracles ------------------------
+
+def crossing_set(arrays):
+    return set(zip(*(a.tolist() for a in arrays)))
+
+
+@given(tie_heavy_graphs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_scans_match_loop_oracles(g, data):
+    p = minimal_valid_partition(g)
+    want = oracle_minimal_valid_partition(g)
+    assert getattr(p, "blocks", None) == getattr(want, "blocks", None)
+    # an arbitrary partition too: Type-1 triplets may then cross blocks
+    labels = data.draw(st.lists(st.integers(0, g.n - 1),
+                                min_size=g.n, max_size=g.n))
+    arbitrary = Partition([[v for v in range(g.n) if labels[v] == b]
+                           for b in sorted(set(labels))])
+    for part in (p, arbitrary) if p is not None else (arbitrary,):
+        assert detect_claw(g, part) == oracle_detect_claw(g, part)
+        assert (crossing_set(_crossing_type2(g, part))
+                == crossing_set(oracle_crossing_type2(g, part)))
+
+
+@given(tie_heavy_graphs())
+@settings(max_examples=100, deadline=None)
+def test_build_bisection_matches_loop_oracles(g):
+    got, want = build_bisection(g), oracle_build_bisection(g)
+    assert got.failed_on == want.failed_on
+    assert (got.tree is None) == (want.tree is None)
+    if got.tree is not None:
+        assert got.tree.to_nested() == want.tree.to_nested()
