@@ -15,9 +15,10 @@ from typing import Optional
 
 import numpy as np
 
+from .detect import _UnionFind
 from .errors import InvalidDelta
 from .graph import INT64_LIMIT, SimilarityGraph
-from .tree import HcTree, binarize
+from .tree import HcTree, _split_top_down, binarize
 
 
 @dataclass(frozen=True)
@@ -88,54 +89,43 @@ def build_constraints(g: SimilarityGraph, delta) -> set[RootedTripletConstraint]
 def rtc_build(constraints, n: int) -> Optional[HcTree]:
     """Tree satisfying every merge constraint, or None if none exists.
 
-    Classic recursive component construction: link each constraint's pair,
-    split the working set into linked components, and recurse per component
-    with the constraints living entirely inside it.  A level whose links
-    glue everything into one component (with >= 2 vertices) is a dead end.
+    The BUILD algorithm of Aho, Sagiv, Szymanski and Ullman, top down: link
+    each constraint's pair, split the working set into its linked
+    components (ordered by smallest member), and split each component in
+    turn by the constraints lying entirely inside it.  A set of two or more
+    vertices whose links glue it into one component is a dead end.
+    Constraints naming a vertex outside 0..n-1 raise ValueError.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
     cons = list(constraints)
-    out: dict[int, object] = {}
-    root_task: list = [tuple(range(n)), cons, None]
-    stack: list[tuple[list, bool]] = [(root_task, False)]
-    while stack:
-        task, expanded = stack.pop()
-        verts = task[0]
-        if len(verts) == 1:
-            out[id(task)] = verts[0]
-            continue
-        if expanded:
-            out[id(task)] = tuple(out[id(child)] for child in task[2])
-            continue
-        parent = {v: v for v in verts}
+    # pairs are stored ascending, so this bounds all three vertices
+    bad = [c for c in cons
+           if not (0 <= c.pair[0] and c.pair[1] < n and 0 <= c.outsider < n)]
+    if bad:
+        raise ValueError(f"{bad[0]} names a vertex outside 0..{n - 1}")
+    inside = {tuple(range(n)): cons}
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for c in task[1]:
-            ra, rb = find(c.pair[0]), find(c.pair[1])
-            if ra != rb:
-                parent[rb] = ra
-        comps: dict[int, list[int]] = {}
-        for v in verts:
-            comps.setdefault(find(v), []).append(v)
-        if len(comps) == 1:
+    def split(verts):
+        local = {v: x for x, v in enumerate(verts)}
+        mine = inside.pop(verts)
+        uf = _UnionFind(len(verts))
+        for a, b in {c.pair for c in mine}:
+            uf.union(local[a], local[b])
+        groups = uf.groups()
+        if len(groups) == 1:
             return None
-        children = []
-        for comp in sorted(comps.values(), key=min):
-            comp_set = set(comp)
-            inner = [c for c in task[1]
-                     if c.outsider in comp_set and c.pair[0] in comp_set
-                     and c.pair[1] in comp_set]
-            children.append([tuple(sorted(comp)), inner, None])
-        task[2] = children
-        stack.append((task, True))
-        stack.extend((child, False) for child in children)
-    return HcTree.from_nested(out[id(root_task)])
+        parts = [tuple(verts[x] for x in grp) for grp in groups]
+        part_of = {v: p for p, part in enumerate(parts) for v in part}
+        inner: list[list] = [[] for _ in parts]
+        for c in mine:  # a pair shares a part, so only its outsider can leave
+            p = part_of[c.pair[0]]
+            if part_of[c.outsider] == p:
+                inner[p].append(c)
+        inside.update(zip(parts, inner))
+        return parts
+
+    return _split_top_down(range(n), split)[0]
 
 
 def approx_tree(g: SimilarityGraph, delta) -> Optional[HcTree]:

@@ -3,8 +3,10 @@
 Ground truth for everything else: enumerate every rooted binary topology by
 stepwise leaf insertion (tree k+1 arises from tree k by joining the new leaf
 at one of its 2k-1 nodes), evaluate total cost for each, and report the
-exact optimum ratio with a deterministic argmin.  The search is vectorized
-over whole batches of trees encoded as per-node leaf bitmasks.
+exact optimum ratio with a deterministic argmin.  One generator,
+``_search_order``, produces the trees in search order as chunks of per-node
+leaf bitmasks; ``enumerate_trees`` decodes them one by one, and the search
+costs each chunk in a single vectorized pass.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .tree import HcTree
 HARD_CAP = 10  # (2n-3)!! trees: 34,459,425 at n = 10
 
 _BIG = np.int8(127)  # above any leaf count; the root holds every pair
+_CHUNK = 1 << 13  # trees per search chunk; larger chunks raise peak memory
 
 
 @dataclass(frozen=True)
@@ -58,56 +61,62 @@ def _nested_from_masks(masks) -> tuple:
     return expand(full)
 
 
-def _initial_level() -> np.ndarray:
-    # one tree on leaves {0, 1}: root plus the two leaves
-    return np.array([[0b11, 0b01, 0b10]], dtype=np.uint16)
-
-
 def _expand_level(level: np.ndarray, leaf: int) -> np.ndarray:
-    """All one-leaf extensions of every tree, ordered (tree, insertion node)."""
+    """All one-leaf extensions of every tree, ordered (tree, insertion node).
+
+    Joining the new leaf next to node c adds it to every strict ancestor of c,
+    then appends the new parent of c and the new leaf as two more nodes.
+    """
     bit = np.uint16(1 << leaf)
     count, width = level.shape
-    out = np.empty((count * width, width + 2), dtype=np.uint16)
-    for c in range(width):
-        out[c::width] = _insert_at(level, c, bit)
-    return out
+    mu = level[:, :, None]  # node c's leaves, c on axis 1
+    above = ((level[:, None, :] & mu) == mu) & ~np.eye(width, dtype=bool)
+    out = np.empty((count, width, width + 2), dtype=np.uint16)
+    out[:, :, :width] = np.where(above, level[:, None, :] | bit,
+                                 level[:, None, :])
+    out[:, :, width] = level | bit
+    out[:, :, width + 1] = bit
+    return out.reshape(count * width, width + 2)
 
 
-def _insert_at(level: np.ndarray, c: int, bit: np.uint16) -> np.ndarray:
-    """Join a new leaf next to node c of every tree in the batch."""
-    count, width = level.shape
-    mu = level[:, c:c + 1]
-    above = (level & mu) == mu  # masks containing node c's leaves
-    above[:, c] = False
-    rows = np.empty((count, width + 2), dtype=np.uint16)
-    rows[:, :width] = np.where(above, level | bit, level)
-    rows[:, width] = level[:, c] | bit
-    rows[:, width + 1] = bit
-    return rows
+def _check_size(n: int, cap: int) -> None:
+    limit = min(cap, HARD_CAP)
+    if n > limit:
+        raise TooLarge(
+            f"{n} leaves means {_double_factorial(2 * n - 3):,} trees; "
+            f"cap is {limit}")
+
+
+def _search_order(n: int) -> Iterator[np.ndarray]:
+    """Leaf-mask rows of every binary tree on leaves 0..n-1, in chunks.
+
+    Search order is lexicographic in the insertion node of leaves 2, 3, ...
+    The trees of the first m leaves are built whole, with m the smallest
+    size whose trees each complete to at most _CHUNK trees; each chunk
+    completes a run of consecutive ones, so expansion keeps the order.
+    """
+    level = np.array([[0b11, 0b01, 0b10]], dtype=np.uint16)  # root, 0, 1
+    m = 2
+    total = _double_factorial(2 * n - 3)
+    while total // _double_factorial(2 * m - 3) > _CHUNK:
+        level = _expand_level(level, m)
+        m += 1
+    step = max(1, _CHUNK // (total // _double_factorial(2 * m - 3)))
+    for lo in range(0, len(level), step):
+        chunk = level[lo:lo + step]
+        for leaf in range(m, n):
+            chunk = _expand_level(chunk, leaf)
+        yield chunk
 
 
 def enumerate_trees(n: int, cap: int = HARD_CAP) -> Iterator[HcTree]:
     """Yield every binary tree on leaves 0..n-1 exactly once, in search order."""
     if n < 2:
         raise ValueError("need at least 2 leaves")
-    if n > min(cap, HARD_CAP):
-        raise TooLarge(
-            f"{n} leaves means {_double_factorial(2 * n - 3):,} trees; "
-            f"cap is {min(cap, HARD_CAP)}")
-    # depth-first over insertion choices, ascending node index at each step
-    stack: list[tuple[list[int], int]] = [([0b11, 0b01, 0b10], 2)]
-    while stack:
-        masks, next_leaf = stack.pop()
-        if next_leaf == n:
-            yield HcTree.from_nested(_nested_from_masks(masks))
-            continue
-        bit = 1 << next_leaf
-        for c in reversed(range(len(masks))):
-            mu = masks[c]
-            grown = [m | bit if (m & mu) == mu and m != mu else m for m in masks]
-            grown.append(mu | bit)
-            grown.append(bit)
-            stack.append((grown, next_leaf + 1))
+    _check_size(n, cap)
+    for chunk in _search_order(n):
+        for row in chunk:
+            yield HcTree.from_nested(_nested_from_masks(row))
 
 
 def _total_costs(chunk: np.ndarray, pair_masks: np.ndarray,
@@ -131,16 +140,13 @@ def _total_costs(chunk: np.ndarray, pair_masks: np.ndarray,
 def optimal_ratio_bruteforce(g: SimilarityGraph, cap: int = HARD_CAP) -> Optimum:
     """Exact minimum ratio over every binary tree, with its first argmin.
 
-    Exhaustive but batched: all trees short of one leaf are kept in memory,
-    the final insertion is evaluated in streamed chunks.
+    Chunks arrive in search order, and a later chunk wins only with a
+    strictly lower cost, so the tree returned is the first optimum.
     """
     n = g.n
     if n < 1:
         raise ValueError("empty graph")
-    if n > min(cap, HARD_CAP):
-        raise TooLarge(
-            f"{n} leaves means {_double_factorial(2 * n - 3):,} trees; "
-            f"cap is {min(cap, HARD_CAP)}")
+    _check_size(n, cap)
     if n == 1:
         return Optimum(rho=Fraction(1), tree=HcTree.from_nested(0),
                        trees_searched=1)
@@ -152,36 +158,15 @@ def optimal_ratio_bruteforce(g: SimilarityGraph, cap: int = HARD_CAP) -> Optimum
     wdtype = np.int64 if g.integral else np.float64
     pair_weights = g.weights[ii, jj].astype(wdtype)
 
-    level = _initial_level()
-    if n == 2:
-        best_tc = _total_costs(level, pair_masks, pair_weights)[0].item()
-        return Optimum(rho=ratio_of(best_tc, base, g.integral),
-                       tree=HcTree.from_nested(_nested_from_masks(level[0])),
-                       trees_searched=1)
-
-    for leaf in range(2, n - 1):
-        level = _expand_level(level, leaf)
-
-    count, width = level.shape
-    searched = count * width
     best_tc = None
-    best_gidx = -1
     best_row = None
-    chunk_rows = max(1, (1 << 24) // (width + 2))
-    bit = np.uint16(1 << (n - 1))
-    for c in range(width):
-        block = _insert_at(level, c, bit)
-        for lo in range(0, count, chunk_rows):
-            chunk = block[lo:lo + chunk_rows]
-            tc = _total_costs(chunk, pair_masks, pair_weights)
-            pos = int(np.argmin(tc))
-            val = tc[pos].item()
-            gidx = (lo + pos) * width + c
-            if best_tc is None or val < best_tc or \
-                    (val == best_tc and gidx < best_gidx):
-                best_tc = val
-                best_gidx = gidx
-                best_row = chunk[pos].copy()
+    for chunk in _search_order(n):
+        tc = _total_costs(chunk, pair_masks, pair_weights)
+        pos = int(np.argmin(tc))
+        val = tc[pos].item()
+        if best_tc is None or val < best_tc:
+            best_tc = val
+            best_row = chunk[pos].copy()
     return Optimum(rho=ratio_of(best_tc, base, g.integral),
                    tree=HcTree.from_nested(_nested_from_masks(best_row)),
-                   trees_searched=searched)
+                   trees_searched=_double_factorial(2 * n - 3))

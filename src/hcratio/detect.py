@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import NotZeroBase
 from .graph import INT64_LIMIT, SimilarityGraph, base_cost
-from .tree import HcTree
+from .tree import HcTree, _split_top_down
 
 Value = Union[int, float]
 
@@ -214,6 +214,13 @@ class _UnionFind:
         self.size[ra] += self.size[rb]
         return True
 
+    def groups(self) -> list[list[int]]:
+        """Members of each set, ascending; sets ordered by smallest member."""
+        out: dict[int, list[int]] = {}
+        for x in range(len(self.parent)):
+            out.setdefault(self.find(x), []).append(x)
+        return list(out.values())
+
 
 def minimal_valid_partition(g: SimilarityGraph) -> Optional[Partition]:
     """Coarsest-refining partition every ratio-1 tree must respect, or None.
@@ -245,12 +252,10 @@ def minimal_valid_partition(g: SimilarityGraph) -> Optional[Partition]:
         for x, y in zip(apex[hit].tolist(), u[hit].tolist()):
             uf.union(x, y)
 
-    groups: dict[int, list[int]] = {}
-    for x in range(n):
-        groups.setdefault(uf.find(x), []).append(x)
+    groups = uf.groups()
     if len(groups) == 1:
         return None
-    return Partition(groups.values())
+    return Partition(groups)
 
 
 def _crossing_type2(g: SimilarityGraph, p: Partition):
@@ -499,35 +504,24 @@ def zero_base_cost_tree(g: SimilarityGraph) -> HcTree:
 
 
 def build_bisection(g: SimilarityGraph) -> DetectionResult:
-    """Full recursive detection over the whole graph.
+    """Full top-down detection over the whole graph.
 
     Zero base cost short-circuits to the matching construction.  Otherwise
-    split, recurse on both induced sides, and join under a fresh root; any
-    side with no valid split aborts the whole build and is reported.
+    each vertex set splits in two by ``valid_bisect`` on its induced
+    subgraph, and the sides split in turn; the first set with no valid split
+    (sides taken second first) aborts the build and is reported.
     """
     if g.n == 0:
         raise ValueError("empty graph")
     if base_cost(g) == 0:
         return DetectionResult(tree=zero_base_cost_tree(g))
 
-    out: dict[int, object] = {}
-    root_task: list = [tuple(range(g.n)), None, None]
-    stack: list[tuple[list, bool]] = [(root_task, False)]
-    while stack:
-        task, expanded = stack.pop()
-        verts = task[0]
-        if len(verts) == 1:
-            out[id(task)] = verts[0]
-            continue
-        if expanded:
-            out[id(task)] = (out[id(task[1])], out[id(task[2])])
-            continue
+    def split(verts):
         bp = valid_bisect(g.induced(verts))
         if bp is None:
-            return DetectionResult(tree=None, failed_on=frozenset(verts))
-        task[1] = [tuple(verts[x] for x in bp.a), None, None]
-        task[2] = [tuple(verts[x] for x in bp.b), None, None]
-        stack.append((task, True))
-        stack.append((task[1], False))
-        stack.append((task[2], False))
-    return DetectionResult(tree=HcTree.from_nested(out[id(root_task)]))
+            return None
+        return (tuple(verts[x] for x in bp.a), tuple(verts[x] for x in bp.b))
+
+    tree, stuck = _split_top_down(range(g.n), split)
+    return DetectionResult(
+        tree=tree, failed_on=None if stuck is None else frozenset(stuck))

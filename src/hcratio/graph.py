@@ -18,7 +18,6 @@ import numpy as np
 from .errors import (
     DuplicateEdge,
     InvalidTriplet,
-    InvalidVertex,
     InvalidWeight,
     ParseError,
     SelfLoop,
@@ -117,7 +116,7 @@ class SimilarityGraph:
                 raise InvalidWeight("need exactly one label per vertex")
             if len(set(labels)) != n:
                 raise InvalidWeight("duplicate vertex label")
-        if epsilon < 0:
+        if not epsilon >= 0:  # also rejects NaN
             raise InvalidWeight("epsilon must be nonnegative")
 
         w.setflags(write=False)
@@ -150,12 +149,6 @@ class SimilarityGraph:
     def positive_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Index arrays (ii, jj) of all pairs i < j with positive weight."""
         return np.nonzero(np.triu(self.weights, 1))
-
-    def index_of(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise InvalidVertex(f"unknown vertex label {label!r}") from None
 
     def induced(self, vertices: Sequence[int]) -> "SimilarityGraph":
         """Subgraph on the given vertices, relabeled to 0..k-1 in list order."""

@@ -269,6 +269,37 @@ def binarize(t: HcTree) -> HcTree:
     return HcTree.from_nested(out[t.root])
 
 
+def _split_top_down(vertices, split):
+    """Tree built by splitting vertex sets top-down, or the set that stuck.
+
+    ``split(verts)`` returns the child vertex tuples of a set of two or more
+    vertices, or None when it cannot be split; single vertices are leaves.
+    Returns ``(tree, None)`` or ``(None, stuck_verts)``.  Children are
+    expanded last to first, so the set reported is the first stuck one in
+    that order.  Iterative, so deep splits do not hit the recursion limit.
+    """
+    sets = [tuple(vertices)]
+    kids: list = [None]
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        if len(sets[i]) == 1:
+            continue
+        parts = split(sets[i])
+        if parts is None:
+            return None, sets[i]
+        kids[i] = range(len(sets), len(sets) + len(parts))
+        sets.extend(parts)
+        kids.extend([None] * len(parts))
+        stack.extend(kids[i])
+    # every child comes after its parent, so this runs bottom-up
+    nested: list = [None] * len(sets)
+    for i in reversed(range(len(sets))):
+        nested[i] = sets[i][0] if kids[i] is None else \
+            tuple(nested[c] for c in kids[i])
+    return HcTree.from_nested(nested[0]), None
+
+
 _TOKEN = re.compile(r"\s*([(),;]|[^\s(),;:]+|:[^\s(),;]*)")
 
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from hcratio import (
     ClusterLabelSet,
+    HcTree,
     Partition,
     RootedTripletConstraint,
     SimilarityGraph,
@@ -21,6 +22,7 @@ from hcratio import (
     triplet_type,
 )
 from hcratio.approx import _delta_squared
+from hcratio.brute import _nested_from_masks
 from hcratio.detect import _UnionFind, _claw_from_labels
 
 
@@ -107,6 +109,24 @@ def is_connected(g):
 
 
 # -- nested-tuple oracles ----------------------------------------------------
+
+def oracle_enumerate_trees(n):
+    """Every binary tree on 0..n-1 in search order, one depth-first insertion
+    at a time: lexicographic in the insertion node of leaves 2, 3, ..."""
+    stack = [([0b11, 0b01, 0b10], 2)]
+    while stack:
+        masks, next_leaf = stack.pop()
+        if next_leaf == n:
+            yield HcTree.from_nested(_nested_from_masks(masks))
+            continue
+        bit = 1 << next_leaf
+        for c in reversed(range(len(masks))):
+            mu = masks[c]
+            grown = [m | bit if (m & mu) == mu and m != mu else m for m in masks]
+            grown.append(mu | bit)
+            grown.append(bit)
+            stack.append((grown, next_leaf + 1))
+
 
 def leaves_of(nested):
     if isinstance(nested, int):

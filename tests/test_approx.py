@@ -153,6 +153,13 @@ def test_rtc_nested_levels():
     assert t.to_nested() == ((0, 1), (2, 3), 4)
 
 
+@pytest.mark.parametrize("pair, outsider", [((0, 5), 2), ((-1, 1), 2),
+                                             ((0, 1), 7)])
+def test_rtc_rejects_vertices_outside_range(pair, outsider):
+    with pytest.raises(ValueError):
+        rtc_build([RootedTripletConstraint(pair=pair, outsider=outsider)], 3)
+
+
 def test_approx_binarizes():
     g = graph_from(np.zeros((4, 4)))
     t = approx_tree(g, 2)

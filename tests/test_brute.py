@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -13,15 +14,22 @@ from hcratio import (
     optimal_ratio_bruteforce,
     ratio_cost,
 )
+from hcratio.brute import _search_order
 
 from helpers import (
     clique_graph,
     graph_from,
     is_connected,
+    oracle_enumerate_trees,
     path_graph,
     random_int_graph,
     star_graph,
 )
+
+
+@lru_cache(maxsize=None)
+def oracle_order(n):
+    return tuple(oracle_enumerate_trees(n))
 
 
 def double_factorial(k):
@@ -39,6 +47,37 @@ def test_enumeration_is_complete_and_distinct(n):
     assert len(set(trees)) == len(trees)
     for t in trees[:: max(1, len(trees) // 7)]:
         assert t.is_binary and t.vertices == tuple(range(n))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_enumeration_follows_oracle_order(n):
+    assert tuple(enumerate_trees(n)) == oracle_order(n)
+
+
+def test_first_argmin_across_chunks():
+    n = 7
+    assert sum(1 for _ in _search_order(n)) > 1
+    trees = oracle_order(n)
+    sizes = np.stack([t.lca_leaf_counts() for t in trees])
+    rng = np.random.default_rng(53)
+    for density in (0.3, 0.5, 0.7, 1.0):
+        for _ in range(3):
+            g = random_int_graph(rng, n, wmax=1, density=density)
+            # total cost of every tree, scanned in search order
+            totals = ((sizes - 2) * g.weights).sum(axis=(1, 2)) // 2
+            best = None
+            for i, tc in enumerate(totals.tolist()):
+                if best is None or tc < totals[best]:
+                    best = i
+            opt = optimal_ratio_bruteforce(g)
+            assert opt.tree == trees[best]
+            assert opt.rho == ratio_cost(g, trees[best])
+
+
+def test_all_tied_returns_first_tree():
+    opt = optimal_ratio_bruteforce(clique_graph(8))
+    assert opt.tree == next(oracle_enumerate_trees(8))
+    assert opt.trees_searched == double_factorial(13)
 
 
 def test_search_counts_reported():

@@ -109,6 +109,15 @@ def test_detect_epsilon_flag(capsys, tmp_path):
     assert out == "perfect\n"
 
 
+def test_nan_epsilon_is_rejected(capsys, tmp_path):
+    g = tmp_path / "triangle.txt"
+    g.write_text("0 1 1\n1 2 1\n0 2 1\n")
+    code, out, err = run(capsys, "--epsilon", "nan", "detect", str(g))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_approx_ok(capsys, p4):
     code, out, _ = run(capsys, "approx", p4, "--delta", "1.5")
     assert code == 0

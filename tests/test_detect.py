@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -511,3 +512,12 @@ def test_build_bisection_matches_loop_oracles(g):
     assert (got.tree is None) == (want.tree is None)
     if got.tree is not None:
         assert got.tree.to_nested() == want.tree.to_nested()
+
+
+def test_build_bisection_reports_last_stuck_side():
+    def bisect(sub):  # six vertices split 3 + 3, and no side splits again
+        return Bipartition((0, 1, 2), (3, 4, 5)) if sub.n == 6 else None
+
+    with mock.patch("hcratio.detect.valid_bisect", bisect):
+        res = build_bisection(clique_graph(6))
+    assert res.failed_on == frozenset({3, 4, 5})

@@ -64,6 +64,12 @@ def test_rejects_nan_and_inf():
         graph_from([[0, float("inf")], [float("inf"), 0]])
 
 
+def test_rejects_negative_and_nan_epsilon():
+    for eps in (-0.5, float("nan")):
+        with pytest.raises(InvalidWeight):
+            graph_from([[0, 1], [1, 0]], epsilon=eps)
+
+
 def test_weights_are_read_only():
     g = path_graph(3)
     with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ from hcratio import (
     parse_newick,
     serialize_newick,
 )
+from hcratio.tree import _split_top_down
 
 from helpers import leaves_of, pair_cluster_size, random_nested, triplet_relation
 
@@ -216,3 +217,20 @@ def test_random_trees_roundtrip_and_match_oracle(n, seed):
                 assert rel.is_simultaneous
             else:
                 assert rel.pair == orel[1] and rel.outsider == orel[2]
+
+
+def test_split_top_down_builds_deep_caterpillar():
+    n = 5000
+    tree, stuck = _split_top_down(range(n), lambda verts: (verts[:1], verts[1:]))
+    assert stuck is None
+    spine = n - 1
+    for v in reversed(range(n - 1)):
+        spine = (v, spine)
+    assert tree == HcTree.from_nested(spine)
+
+
+def test_split_top_down_reports_last_stuck_child():
+    def split(verts):
+        return ((0, 1, 2), (3, 4, 5)) if len(verts) == 6 else None
+
+    assert _split_top_down(range(6), split) == (None, (3, 4, 5))
