@@ -2,7 +2,7 @@
 
 Core objects: `SimilarityGraph` and `HcTree`, the cost functions relating
 them, exact detection of graphs that cluster perfectly, a constraint-based
-approximation for near-perfect graphs, an exhaustive small-n oracle, and
+approximation for near-perfect graphs, an exact small-n oracle, and
 random-graph experiments.
 """
 

@@ -1,19 +1,30 @@
-"""Exhaustive search over all binary clustering trees on small vertex sets.
+"""Exact search over all binary clustering trees on small vertex sets.
 
-Ground truth for everything else: enumerate every rooted binary topology by
-stepwise leaf insertion (tree k+1 arises from tree k by joining the new leaf
-at one of its 2k-1 nodes), evaluate total cost for each, and report the
-exact optimum ratio with a deterministic argmin.  One generator,
-``_search_order``, produces the trees in search order as chunks of per-node
-leaf bitmasks; ``enumerate_trees`` decodes them one by one, and the search
-costs each chunk in a single vectorized pass.
+Ground truth for everything else.  A subset dynamic program first finds the
+exact optimal total cost: total cost splits over internal nodes, so the
+best tree on a vertex set S costs min over splits A|B of the best trees on
+A and B plus |S| x w(A, B), in O(3^n) (Dasgupta, STOC 2016).  The search
+then walks every rooted binary topology in search order, by stepwise leaf
+insertion (tree k+1 arises from tree k by joining the new leaf at one of its
+2k-1 nodes), and returns the first tree that attains the optimum.
+
+A partial tree on leaves 0..m-1 is skipped with all its completions only
+when a proven lower bound exceeds the optimum: its triplets keep their merge
+order in every completion, and each later triplet costs at least its
+minimum, so total cost minus base cost never drops below the partial tree's
+own excess.  No tree that could be the first optimum is skipped, and
+``trees_searched`` still reports (2n-3)!!, the trees the search covers.
+
+One generator, ``_search_order``, produces the trees in search order as
+chunks of per-node leaf bitmasks; ``enumerate_trees`` decodes them one by
+one, and the search costs each chunk in a single vectorized pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -46,19 +57,36 @@ def _double_factorial(k: int) -> int:
 
 
 def _nested_from_masks(masks) -> tuple:
-    """Rebuild the nested-tuple tree from its laminar family of leaf masks."""
+    """Rebuild the nested-tuple tree from its laminar family of leaf masks.
+
+    A node's parent is its smallest strict superset.  Visiting the masks
+    from most leaves to fewest, that is the last visited mask holding any
+    of the node's leaves.  Children keep the order of their masks.
+    """
     masks = [int(m) for m in masks]
-    full = max(masks, key=lambda m: bin(m).count("1"))
+    by_size = sorted(masks, key=lambda m: -m.bit_count())
+    parent = {}
+    owner = {}  # leaf bit -> smallest mask visited so far that holds it
+    for m in by_size:
+        low = m & -m
+        if low in owner:
+            parent[m] = owner[low]
+        rest = m
+        while rest:
+            bit = rest & -rest
+            owner[bit] = m
+            rest ^= bit
+    kids = {m: [] for m in masks}
+    for m in masks:
+        if m in parent:
+            kids[parent[m]].append(m)
 
     def expand(m):
         if m & (m - 1) == 0:  # single bit: a leaf
             return m.bit_length() - 1
-        kids = [x for x in masks if x & m == x and x != m
-                and not any(y & m == y and y != m and x & y == x and x != y
-                            for y in masks)]
-        return tuple(expand(x) for x in kids)
+        return tuple(expand(x) for x in kids[m])
 
-    return expand(full)
+    return expand(by_size[0])
 
 
 def _expand_level(level: np.ndarray, leaf: int) -> np.ndarray:
@@ -87,26 +115,33 @@ def _check_size(n: int, cap: int) -> None:
             f"cap is {limit}")
 
 
-def _search_order(n: int) -> Iterator[np.ndarray]:
+def _search_order(n: int, keep: Optional[Callable] = None
+                  ) -> Iterator[np.ndarray]:
     """Leaf-mask rows of every binary tree on leaves 0..n-1, in chunks.
 
     Search order is lexicographic in the insertion node of leaves 2, 3, ...
-    The trees of the first m leaves are built whole, with m the smallest
-    size whose trees each complete to at most _CHUNK trees; each chunk
-    completes a run of consecutive ones, so expansion keeps the order.
+    The walk is depth first over batches: the trees on m leaves are
+    expanded a run of consecutive ones at a time, at most _CHUNK new trees
+    per run, and each run is completed before the next, which keeps the
+    order and bounds every level's batch by _CHUNK trees.
+
+    ``keep(rows, m)``, if given, filters the partial trees on leaves
+    0..m-1 (3 <= m < n) before they are expanded; it must return a subset
+    of the rows in their order.  Chunks left empty are not yielded.
     """
-    level = np.array([[0b11, 0b01, 0b10]], dtype=np.uint16)  # root, 0, 1
-    m = 2
-    total = _double_factorial(2 * n - 3)
-    while total // _double_factorial(2 * m - 3) > _CHUNK:
-        level = _expand_level(level, m)
-        m += 1
-    step = max(1, _CHUNK // (total // _double_factorial(2 * m - 3)))
-    for lo in range(0, len(level), step):
-        chunk = level[lo:lo + step]
-        for leaf in range(m, n):
-            chunk = _expand_level(chunk, leaf)
-        yield chunk
+    def walk(rows, m):
+        if m == n:
+            yield rows
+            return
+        step = max(1, _CHUNK // (2 * m - 1))  # 2m-1 places for leaf m
+        for lo in range(0, len(rows), step):
+            grown = _expand_level(rows[lo:lo + step], m)
+            if keep is not None and m + 1 < n:
+                grown = keep(grown, m + 1)
+            if len(grown):
+                yield from walk(grown, m + 1)
+
+    yield from walk(np.array([[0b11, 0b01, 0b10]], dtype=np.uint16), 2)
 
 
 def enumerate_trees(n: int, cap: int = HARD_CAP) -> Iterator[HcTree]:
@@ -137,11 +172,73 @@ def _total_costs(chunk: np.ndarray, pair_masks: np.ndarray,
     return acc
 
 
+def _optimal_total(g: SimilarityGraph):
+    """Least total cost over all binary trees, by dynamic program on subsets.
+
+    OPT(S) = min over splits A|B, A holding S's lowest vertex, of
+    OPT(A) + OPT(B) + |S| x w(A, B), where w(A, B) = in(S) - in(A) - in(B)
+    and in(.) is the weight inside a vertex set, tabulated over all 2^n
+    masks.  OPT(all) is the least Dasgupta cost; the total cost is that
+    minus twice the weight sum.  Python ints keep integer graphs exact.
+    """
+    n = g.n
+    rows = g.weights.tolist()
+    full = 1 << n
+    inside = [0] * full
+    for s in range(1, full):
+        rest = s & (s - 1)
+        v = (s ^ rest).bit_length() - 1
+        w = inside[rest]
+        while rest:
+            bit = rest & -rest
+            w += rows[v][bit.bit_length() - 1]
+            rest ^= bit
+        inside[s] = w
+    opt = [0] * full
+    for s in range(1, full):
+        low = s & -s
+        rest = s ^ low
+        if not rest:
+            continue
+        size = s.bit_count()
+        in_s = inside[s]
+        best = None
+        sub = (rest - 1) & rest  # the part of rest joining low in A; B != {}
+        while True:
+            a = low | sub
+            b = s ^ a
+            c = opt[a] + opt[b] + size * (in_s - inside[a] - inside[b])
+            if best is None or c < best:
+                best = c
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+        opt[s] = best
+    return opt[full - 1] - 2 * inside[full - 1]
+
+
+def _prefix_bases(W: np.ndarray) -> list:
+    """Base cost of the subgraph on vertices 0..m-1, for m = 0..n."""
+    n = len(W)
+    out = [0] * (n + 1)
+    for k in range(2, n):
+        i, j = np.triu_indices(k, 1)
+        x, y, z = W[i, j], W[i, k], W[j, k]
+        low = x + y + z - np.maximum(np.maximum(x, y), z)
+        out[k + 1] = out[k] + low.sum().item()
+    return out
+
+
 def optimal_ratio_bruteforce(g: SimilarityGraph, cap: int = HARD_CAP) -> Optimum:
     """Exact minimum ratio over every binary tree, with its first argmin.
 
     Chunks arrive in search order, and a later chunk wins only with a
-    strictly lower cost, so the tree returned is the first optimum.
+    strictly lower cost, so the tree returned is the first optimum.  A
+    partial tree is dropped only when its excess (total minus base cost
+    over its own leaves) exceeds the optimum's excess, which no completion
+    can then reach; on float graphs a slack far above the rounding of these
+    sums keeps every tree whose float cost could tie.  Integer graphs stop
+    at the first chunk that attains the exact optimum.
     """
     n = g.n
     if n < 1:
@@ -158,15 +255,28 @@ def optimal_ratio_bruteforce(g: SimilarityGraph, cap: int = HARD_CAP) -> Optimum
     wdtype = np.int64 if g.integral else np.float64
     pair_weights = g.weights[ii, jj].astype(wdtype)
 
+    target = _optimal_total(g)
+    bases = _prefix_bases(g.weights)
+    bound = target - bases[n]
+    if not g.integral:
+        bound += 1e-9 * (1 + n * g.total_weight())
+
+    def keep(rows, m):
+        inner = jj < m
+        cost = _total_costs(rows, pair_masks[inner], pair_weights[inner])
+        return rows[cost - bases[m] <= bound]
+
     best_tc = None
     best_row = None
-    for chunk in _search_order(n):
+    for chunk in _search_order(n, keep):
         tc = _total_costs(chunk, pair_masks, pair_weights)
         pos = int(np.argmin(tc))
         val = tc[pos].item()
         if best_tc is None or val < best_tc:
             best_tc = val
             best_row = chunk[pos].copy()
+            if g.integral and best_tc == target:
+                break
     return Optimum(rho=ratio_of(best_tc, base, g.integral),
                    tree=HcTree.from_nested(_nested_from_masks(best_row)),
                    trees_searched=_double_factorial(2 * n - 3))

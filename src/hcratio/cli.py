@@ -215,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.set_defaults(fn=cmd_approx)
 
     b = sub.add_parser("brute", parents=[shared],
-                       help="exact optimum by exhaustive tree search (small n)")
+                       help="exact optimum by subset DP and pruned tree search (small n)")
     b.add_argument("graph")
     b.set_defaults(fn=cmd_brute)
 

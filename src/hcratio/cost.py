@@ -132,15 +132,31 @@ def find_inconsistent_triplet(
 
 
 def is_consistent(g: SimilarityGraph, t: HcTree) -> bool:
-    """True iff every triplet is charged the least its weights allow."""
+    """True iff every triplet is charged the least its weights allow.
+
+    Total cost is the sum of the triplet charges and base cost the sum of
+    their minima, so on integer weights, exact in int64, the two are equal
+    exactly when the tree is consistent.  Float weights take the triplet
+    scan.
+    """
+    if g.integral:
+        return total_cost(g, t) == base_cost(g)
     return find_inconsistent_triplet(g, t) is None
 
 
 def cost_report(g: SimilarityGraph, t: HcTree) -> CostReport:
-    """Evaluate all costs of the pair in one go, from one LCA count matrix."""
+    """Evaluate all costs of the pair in one go, from one LCA count matrix.
+
+    ``consistent`` is total == base on integer weights (see
+    ``is_consistent``) and the triplet scan on float weights.
+    """
     M = _lca_counts(g, t)
     das, tot = _pair_sums(g, M)
     base = base_cost(g)
+    if g.integral:
+        consistent = tot == base
+    else:
+        consistent = find_inconsistent_triplet(g, t, M) is None
     return CostReport(dasgupta=das, total=tot, base=base,
                       ratio=ratio_of(tot, base, g.integral),
-                      consistent=find_inconsistent_triplet(g, t, M) is None)
+                      consistent=consistent)

@@ -284,7 +284,9 @@ def detect_claw(g: SimilarityGraph, p: Partition) -> Optional[Claw]:
 
     Two labels on two *different* blocks identify a claw with (i, j) as one
     leaf pair: '0' with '(2,w)', '1' with '(2,w)', or '(2,w)' with '(2,w'')'
-    at distinct weights (the larger tie is the leg weight).
+    at distinct weights (the larger tie is the leg weight).  A match counts
+    only if its legs all tie the leg weight and the leaves' mutual weights
+    are lighter beyond a tie, so every claw returned is one by definition.
 
     Row i classifies {i, j, r} for every j > i and every r in one table
     scan.  A pair can only yield a claw when some r is a Type-2 apex over
@@ -331,10 +333,26 @@ def detect_claw(g: SimilarityGraph, p: Partition) -> Optional[Claw]:
 
 def _claw_from_labels(g: SimilarityGraph, i: int, j: int,
                       labels: dict[int, ClusterLabelSet]) -> Optional[Claw]:
+    """The first label match that is a claw in full, or None.
+
+    Under a positive epsilon ties are not transitive, so a match can pair
+    legs that do not all tie, or leaves whose mutual weight ties the leg
+    weight; such a match is skipped, as is any match that is no claw over
+    a partition other than the minimal one.  Over the minimal partition at
+    epsilon 0 every match is a claw.
+    """
+    for apex, s, w in _claw_matches(g, labels):
+        if _is_claw(g, apex, (i, j, s), w):
+            return Claw(apex=apex, leaves=(i, j, s), leg_weight=w)
+    return None
+
+
+def _claw_matches(g: SimilarityGraph, labels: dict[int, ClusterLabelSet]):
+    """Yield (apex, third leaf, leg weight) per label match, in scan order."""
     order = sorted(labels)
     twos = [(b, w, r) for b in order for w, r in sorted(labels[b].label2.items())]
     if not twos:
-        return None
+        return
     # '0' + '(2,w)' on distinct blocks: apex is the tied witness
     for b in order:
         s = labels[b].label0
@@ -342,7 +360,7 @@ def _claw_from_labels(g: SimilarityGraph, i: int, j: int,
             continue
         for bt, w, r in twos:
             if bt != b:
-                return Claw(apex=r, leaves=(i, j, s), leg_weight=w)
+                yield r, s, w
     # '1' + '(2,w)' on distinct blocks
     for b in order:
         s = labels[b].label1
@@ -350,7 +368,7 @@ def _claw_from_labels(g: SimilarityGraph, i: int, j: int,
             continue
         for bt, w, r in twos:
             if bt != b:
-                return Claw(apex=r, leaves=(i, j, s), leg_weight=w)
+                yield r, s, w
     # '(2,w)' + '(2,w'')' on distinct blocks, w != w'': heavier tie is the leg
     # (distinctness respects the comparison tolerance, else two ties that
     # count as equal would fabricate a claw with untied legs)
@@ -361,9 +379,19 @@ def _claw_from_labels(g: SimilarityGraph, i: int, j: int,
             if b1 == b2 or g.weights_equal(w1, w2):
                 continue
             if w1 < w2:
-                b1, w1, r1, b2, w2, r2 = b2, w2, r2, b1, w1, r1
-            return Claw(apex=r1, leaves=(i, j, r2), leg_weight=w1)
-    return None
+                yield r2, r1, w2
+            else:
+                yield r1, r2, w1
+
+
+def _is_claw(g: SimilarityGraph, apex: int, leaves: tuple[int, int, int],
+             leg) -> bool:
+    """Every leg ties ``leg``; every leaf pair is lighter beyond a tie."""
+    eq = g.weights_equal
+    a, b, c = leaves
+    return (all(eq(g.weight(apex, x), leg) for x in leaves)
+            and all(w < leg and not eq(w, leg)
+                    for w in (g.weight(a, b), g.weight(a, c), g.weight(b, c))))
 
 
 # ---------------------------------------------------------------------------

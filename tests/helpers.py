@@ -18,11 +18,18 @@ from hcratio import (
     Partition,
     RootedTripletConstraint,
     SimilarityGraph,
+    base_cost,
     build_bisection,
     triplet_type,
 )
 from hcratio.approx import _delta_squared
-from hcratio.brute import _nested_from_masks
+from hcratio.brute import (
+    Optimum,
+    _double_factorial,
+    _search_order,
+    _total_costs,
+)
+from hcratio.cost import ratio_of
 from hcratio.detect import _UnionFind, _claw_from_labels
 
 
@@ -110,6 +117,23 @@ def is_connected(g):
 
 # -- nested-tuple oracles ----------------------------------------------------
 
+def oracle_nested_from_masks(masks):
+    """Nested tuple of a laminar mask family: a node's children are the
+    masks inside it with no other mask of the family between."""
+    masks = [int(m) for m in masks]
+    full = max(masks, key=lambda m: bin(m).count("1"))
+
+    def expand(m):
+        if m & (m - 1) == 0:  # single bit: a leaf
+            return m.bit_length() - 1
+        kids = [x for x in masks if x & m == x and x != m
+                and not any(y & m == y and y != m and x & y == x and x != y
+                            for y in masks)]
+        return tuple(expand(x) for x in kids)
+
+    return expand(full)
+
+
 def oracle_enumerate_trees(n):
     """Every binary tree on 0..n-1 in search order, one depth-first insertion
     at a time: lexicographic in the insertion node of leaves 2, 3, ..."""
@@ -117,7 +141,7 @@ def oracle_enumerate_trees(n):
     while stack:
         masks, next_leaf = stack.pop()
         if next_leaf == n:
-            yield HcTree.from_nested(_nested_from_masks(masks))
+            yield HcTree.from_nested(oracle_nested_from_masks(masks))
             continue
         bit = 1 << next_leaf
         for c in reversed(range(len(masks))):
@@ -126,6 +150,37 @@ def oracle_enumerate_trees(n):
             grown.append(mu | bit)
             grown.append(bit)
             stack.append((grown, next_leaf + 1))
+
+
+def oracle_bruteforce(g):
+    """(Optimum, least total cost) by costing every tree, with no pruning.
+
+    Chunks arrive in search order and a later chunk wins only with a
+    strictly lower cost, so the tree is the first optimum in search order.
+    """
+    n = g.n
+    if n == 1:
+        return Optimum(rho=Fraction(1), tree=HcTree.from_nested(0),
+                       trees_searched=1), 0
+    ii, jj = g.positive_pairs()
+    pair_masks = ((1 << ii.astype(np.int64)) | (1 << jj.astype(np.int64))) \
+        .astype(np.uint16)
+    wdtype = np.int64 if g.integral else np.float64
+    pair_weights = g.weights[ii, jj].astype(wdtype)
+    best_tc = None
+    best_row = None
+    for chunk in _search_order(n):
+        tc = _total_costs(chunk, pair_masks, pair_weights)
+        pos = int(np.argmin(tc))
+        val = tc[pos].item()
+        if best_tc is None or val < best_tc:
+            best_tc = val
+            best_row = chunk[pos].copy()
+    opt = Optimum(
+        rho=ratio_of(best_tc, base_cost(g), g.integral),
+        tree=HcTree.from_nested(oracle_nested_from_masks(best_row)),
+        trees_searched=_double_factorial(2 * n - 3))
+    return opt, best_tc
 
 
 def leaves_of(nested):

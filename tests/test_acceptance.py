@@ -30,7 +30,9 @@ from hcratio import (
     total_cost,
     triplet_cost,
 )
+from hcratio.brute import _optimal_total
 from hcratio.cli import main as cli_main
+from hcratio.cost import ratio_of
 from hcratio.tree import HcTree
 
 from helpers import (
@@ -209,8 +211,27 @@ def test_criterion_06_optimum_bounds(capsys):
             connected_checked += 1
             if opt.rho > cap:
                 problems.append(f"n={n} m={m}: rho {opt.rho} > {cap}")
+    # n = 11..13, past brute force: the exact optimum of the subset DP
+    rng = np.random.default_rng(2026)
+    dp_checked = 0
+    for n in (11, 12, 13):
+        for wmax, keep in ((3, 0.6), (3, 0.6), (1, 0.4), (1, 0.4)):
+            g = _random_graph(rng, n, wmax=wmax, keep=keep)
+            while not is_connected(g):
+                g = _random_graph(rng, n, wmax=wmax, keep=keep)
+            rho = ratio_of(_optimal_total(g), base_cost(g), True)
+            dp_checked += 1
+            if not Fraction(1) <= rho <= n - 2:
+                problems.append(f"DP n={n}: rho {rho} outside [1, {n - 2}]")
+            if wmax == 1:
+                m = len(g.positive_pairs()[0])
+                cap = Fraction(n * n - 2 * n, 2 * m - n)
+                connected_checked += 1
+                if rho > cap:
+                    problems.append(f"DP n={n} m={m}: rho {rho} > {cap}")
     _report(capsys, 6, not problems,
-            problems or f"bounds hold on {len(_corpus())} graphs "
+            problems or f"bounds hold on {len(_corpus())} graphs and "
+                        f"{dp_checked} DP optima at n = 11..13 "
                         f"({connected_checked} connected unweighted)")
 
 

@@ -1,10 +1,13 @@
 import math
+import time
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hcratio import (
     TooLarge,
@@ -14,16 +17,21 @@ from hcratio import (
     optimal_ratio_bruteforce,
     ratio_cost,
 )
-from hcratio.brute import _search_order
+from hcratio.brute import _nested_from_masks, _optimal_total, _search_order
 
 from helpers import (
     clique_graph,
     graph_from,
     is_connected,
+    oracle_bruteforce,
     oracle_enumerate_trees,
+    oracle_nested_from_masks,
+    pair_cluster_size,
     path_graph,
     random_int_graph,
+    random_nested,
     star_graph,
+    tie_heavy_graphs,
 )
 
 
@@ -78,6 +86,17 @@ def test_all_tied_returns_first_tree():
     opt = optimal_ratio_bruteforce(clique_graph(8))
     assert opt.tree == next(oracle_enumerate_trees(8))
     assert opt.trees_searched == double_factorial(13)
+    # every tree optimal, so no partial tree can be pruned: the integer
+    # graph stops after its first chunk, the float ones cost every chunk
+    want, _ = assert_same_search(graph_from(np.zeros((9, 9), dtype=np.int64)))
+    assert want.tree == next(oracle_enumerate_trees(9))
+    half = np.full((8, 8), 0.5)  # every float cost ties exactly
+    np.fill_diagonal(half, 0)
+    want, _ = assert_same_search(graph_from(half))
+    assert want.tree == next(oracle_enumerate_trees(8))
+    third = np.full((8, 8), 0.3)  # rounding picks among the ties
+    np.fill_diagonal(third, 0)
+    assert_same_search(graph_from(third))
 
 
 def test_search_counts_reported():
@@ -192,3 +211,79 @@ def test_connected_unweighted_upper_bound():
 def test_known_star_and_clique_values():
     assert optimal_ratio_bruteforce(star_graph(4)).rho == Fraction(1)
     assert optimal_ratio_bruteforce(clique_graph(6)).rho == Fraction(1)
+
+
+# -- pruned search against the unpruned oracle --------------------------------
+
+def ultrametric(rng, n):
+    """Integer weights n - |LCA(i, j)| of a random tree: a perfect graph."""
+    nested = random_nested(rng, n)
+    W = np.zeros((n, n), dtype=np.int64)
+    for i, j in combinations(range(n), 2):
+        W[i, j] = W[j, i] = n - pair_cluster_size(nested, i, j)
+    return W
+
+
+@st.composite
+def ultrametric_graphs(draw):
+    """x0.1 float copies of perfect graphs, and perturbed ultrametrics."""
+    n = draw(st.integers(1, 8))
+    U = ultrametric(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+    if draw(st.booleans()):
+        return graph_from(U * 0.1)
+    step = draw(st.sampled_from([1, 0.05]))  # integer or float jitter
+    noise = np.zeros((n, n))
+    iu = np.triu_indices(n, 1)
+    noise[iu] = step * np.array(draw(st.lists(
+        st.integers(-1, 1), min_size=len(iu[0]), max_size=len(iu[0]))))
+    return graph_from(np.maximum(U + noise + noise.T, 0))
+
+
+def assert_same_search(g):
+    want, least = oracle_bruteforce(g)
+    got = optimal_ratio_bruteforce(g)
+    assert type(got.rho) is type(want.rho)
+    assert got.rho == want.rho
+    assert got.tree.to_nested() == want.tree.to_nested()
+    assert got.trees_searched == want.trees_searched
+    return want, least
+
+
+@given(st.one_of(tie_heavy_graphs(1, 8), ultrametric_graphs()))
+@settings(max_examples=80, deadline=None)
+def test_pruned_search_matches_unpruned_oracle(g):
+    _, least = assert_same_search(g)
+    dp = _optimal_total(g)
+    if g.integral:
+        assert dp == least
+    else:
+        assert math.isclose(dp, least, rel_tol=1e-9, abs_tol=1e-12)
+
+
+def test_first_argmin_beyond_first_chunk():
+    n = 8
+    first_chunk = {_nested_from_masks(row) for row in next(_search_order(n))}
+    rng = np.random.default_rng(61)
+    late = 0
+    for density in (0.3, 0.5, 0.7, 0.9):
+        for _ in range(2):
+            g = random_int_graph(rng, n, wmax=1, density=density)
+            want, _ = assert_same_search(g)
+            late += want.tree.to_nested() not in first_chunk
+    assert late >= 2
+
+
+def test_decode_matches_nested_any_oracle():
+    for chunk in _search_order(6):
+        for row in chunk:
+            assert _nested_from_masks(row) == oracle_nested_from_masks(row)
+            assert (_nested_from_masks(row[::-1])
+                    == oracle_nested_from_masks(row[::-1]))
+
+
+def test_n9_search_is_fast():
+    rng = np.random.default_rng(67)
+    g = random_int_graph(rng, 9)
+    start = time.perf_counter()
+    optimal_ratio_bruteforce(g)
+    assert time.perf_counter() - start < 1.0

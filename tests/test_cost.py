@@ -13,6 +13,7 @@ from hcratio import (
     LeafMismatch,
     cost_report,
     dasgupta_cost,
+    enumerate_trees,
     find_inconsistent_triplet,
     is_consistent,
     ratio_cost,
@@ -273,3 +274,32 @@ def test_cost_report_builds_one_lca_matrix(monkeypatch):
     assert len(calls) == 1
     assert rep.consistent == is_consistent(g, t)
     assert (rep.dasgupta, rep.total) == (dasgupta_cost(g, t), total_cost(g, t))
+
+
+@st.composite
+def integer_graph_and_tree(draw):
+    """Tie-heavy {0..3} graph with a random tree or an enumerated one."""
+    n = draw(st.integers(1, 9))
+    vals = draw(st.lists(st.sampled_from([0, 0, 0, 1, 1, 2, 3]),
+                         min_size=n * (n - 1) // 2,
+                         max_size=n * (n - 1) // 2))
+    W = np.zeros((n, n), dtype=np.int64)
+    W[np.triu_indices(n, 1)] = vals
+    g = graph_from(W + W.T)
+    if n == 1:
+        return g, HcTree.from_nested(0)
+    if n <= 5 and draw(st.booleans()):
+        trees = list(enumerate_trees(n))
+        return g, trees[draw(st.integers(0, len(trees) - 1))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return g, HcTree.from_nested(random_nested(rng, n))
+
+
+@given(integer_graph_and_tree())
+@settings(max_examples=200, deadline=None)
+def test_integer_consistent_flag_matches_triplet_scan(case):
+    # on integer weights the flag is total == base, with no triplet scan
+    g, t = case
+    expected = find_inconsistent_triplet(g, t) is None
+    assert cost_report(g, t).consistent == expected
+    assert is_consistent(g, t) == expected

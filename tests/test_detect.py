@@ -293,6 +293,41 @@ def test_claw_scan_agrees_with_definition():
     assert usable >= 20
 
 
+def test_no_claw_from_non_transitive_ties():
+    # under epsilon 1 the leaves' mutual weight 0 ties the leg weight 1,
+    # so apex 3 over leaves 0, 1, 2 is no claw although each label matches
+    g = graph_from([[0, 0, 0, 1],
+                    [0, 0, 0, 1],
+                    [0, 0, 0, 2],
+                    [1, 1, 2, 0]], epsilon=1)
+    p = minimal_valid_partition(g)
+    assert len(p) == 4
+    assert detect_claw(g, p) is None
+    assert not exhaustive_claw_exists(g, p)
+    # over singleton blocks the labels match apex 1 over leaves 0, 2, 3,
+    # whose leg to 0 weighs 0, not the leg weight 3
+    g = graph_from([[0, 0, 1, 1],
+                    [0, 0, 3, 2],
+                    [1, 3, 0, 1],
+                    [1, 2, 1, 0]], epsilon=1)
+    singletons = Partition([[v] for v in range(4)])
+    assert detect_claw(g, singletons) is None
+    assert not exhaustive_claw_exists(g, singletons)
+
+
+@given(tie_heavy_graphs().filter(lambda g: g.epsilon > 0), st.data())
+@settings(max_examples=150, deadline=None)
+def test_claws_valid_under_tolerance(g, data):
+    p = minimal_valid_partition(g)
+    labels = data.draw(st.lists(st.integers(0, g.n - 1),
+                                min_size=g.n, max_size=g.n))
+    arbitrary = Partition([[v for v in range(g.n) if labels[v] == b]
+                           for b in sorted(set(labels))])
+    for part in (p, arbitrary) if p is not None else (arbitrary,):
+        c = detect_claw(g, part)
+        assert c is None or is_valid_claw(g, part, c)
+
+
 # -- splitting ----------------------------------------------------------------
 
 def test_case1_star_split():
