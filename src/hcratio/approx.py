@@ -1,10 +1,20 @@
-"""Approximation for near-perfect graphs via forced merge constraints.
+"""Approximation for near-perfect graphs via forced merges.
 
 When a graph is a bounded multiplicative distortion of one that clusters
-perfectly, triplets whose heaviest weight beats the runner-up by more than
-the squared distortion must still merge that pair first.  Collecting those
-forced merges and building any tree consistent with all of them yields a
-(1 + delta^2)-approximation of the optimal ratio.
+perfectly, a triplet whose heaviest weight beats the runner-up by more
+than the squared distortion must still merge that pair first.  Any tree
+consistent with all those forced merges is a (1 + delta^2)-approximation
+of the optimal ratio; BUILD (Aho, Sagiv, Szymanski and Ullman, 1981) finds
+one top down.
+
+``approx_tree`` never lists the forced triplets.  Inside a working set S,
+BUILD links u and v when some k in S forces them, which holds exactly when
+W[u,v] beats delta^2 times the bottleneck min over k in S of max(W[u,k],
+W[v,k]).  One blocked min-max scan of S's weights gives every link
+(``detect._forced_links``), and S splits into the link components, ordered
+by smallest member.  ``build_constraints`` and ``rtc_build`` are the same
+construction with the forced triplets spelled out as
+``RootedTripletConstraint`` objects.
 """
 
 from __future__ import annotations
@@ -15,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .detect import _UnionFind
+from .detect import _UnionFind, _forced_links
 from .errors import InvalidDelta
 from .graph import INT64_LIMIT, SimilarityGraph
 from .tree import HcTree, _split_top_down, binarize
@@ -51,15 +61,14 @@ def _delta_squared(delta) -> Fraction:
     return d * d
 
 
-def build_constraints(g: SimilarityGraph, delta) -> set[RootedTripletConstraint]:
-    """Forced merges: triplets whose top weight exceeds delta^2 x runner-up.
+def _forcing_rule(g: SimilarityGraph, delta):
+    """(W, rule): does a third vertex at mx force a pair of weight w first?
 
-    Pair (u, v) must merge before k when W[u,v] > delta^2 x max(W[u,k],
-    W[v,k]); as delta >= 1, only a triplet's unique heaviest pair can pass.
-    Row u tests every (v, k) with v > u at once.  Integer weights compare
-    exactly as W[u,v] x q > p x max(...), with delta^2 = p/q in lowest terms:
-    in int64 while max weight x max(p, q) < 2^63, on Python ints beyond.
-    Float weights compare W[u,v] > float(delta^2) x max(...).
+    It does when w > delta^2 x mx.  Integer weights compare exactly as
+    w x q > p x mx, with delta^2 = p/q in lowest terms: in int64 while max
+    weight x max(p, q) < 2^63, on Python ints (object arrays) beyond.  Float
+    weights compare w > float(delta^2) x mx.  Either rule only gets easier
+    to satisfy as mx falls, rounding included.
     """
     d2 = _delta_squared(delta)
     W = g.weights
@@ -67,15 +76,20 @@ def build_constraints(g: SimilarityGraph, delta) -> set[RootedTripletConstraint]
         p, q = d2.numerator, d2.denominator
         if max(int(W.max(initial=0)), 1) * max(p, q) >= INT64_LIMIT:
             W = W.astype(object)
+        return W, lambda w, mx: w * q > p * mx
+    d2f = float(d2)
+    return W, lambda w, mx: w > d2f * mx
 
-        def forced(w, mx):
-            return w * q > p * mx
-    else:
-        d2f = float(d2)
 
-        def forced(w, mx):
-            return w > d2f * mx
+def build_constraints(g: SimilarityGraph, delta) -> set[RootedTripletConstraint]:
+    """Forced merges: triplets whose top weight exceeds delta^2 x runner-up.
 
+    Pair (u, v) must merge before k when W[u,v] > delta^2 x max(W[u,k],
+    W[v,k]), compared as ``_forcing_rule`` says; as delta >= 1, only a
+    triplet's unique heaviest pair can pass.  Row u tests every (v, k) with
+    v > u at once.
+    """
+    W, forced = _forcing_rule(g, delta)
     out: set[RootedTripletConstraint] = set()
     for u in range(g.n - 1):
         # k = u or v never passes: the zero diagonal makes max(...) = W[u,v]
@@ -133,6 +147,24 @@ def approx_tree(g: SimilarityGraph, delta) -> Optional[HcTree]:
 
     None only when no tree satisfies the forced merges — in particular the
     input is then not a delta-distortion of any perfectly-clusterable graph.
+    The tree is ``binarize(rtc_build(build_constraints(g, delta), g.n))``,
+    built without listing the constraints: each working set splits into
+    the components of its forced links (``detect._forced_links``), ordered
+    by smallest member as BUILD orders them.
     """
-    t = rtc_build(build_constraints(g, delta), g.n)
+    if g.n < 1:
+        raise ValueError("need at least one vertex")
+    W, forced = _forcing_rule(g, delta)
+
+    def split(verts):
+        u, v = _forced_links(W[np.ix_(verts, verts)], forced)
+        uf = _UnionFind(len(verts))
+        for a, b in zip(u.tolist(), v.tolist()):
+            uf.union(a, b)
+        groups = uf.groups()
+        if len(groups) == 1:
+            return None
+        return [tuple(verts[x] for x in grp) for grp in groups]
+
+    t = _split_top_down(range(g.n), split)[0]
     return None if t is None else binarize(t)

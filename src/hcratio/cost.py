@@ -5,6 +5,10 @@ shifted total cost (same minimizers, zero lower bound), the graph-only
 base cost, and their ratio.  A tree is *consistent* with the graph when
 every vertex triplet is merged as cheaply as its weights allow — which
 happens exactly when total cost equals base cost.
+
+Consistency is the paper's exact notion and ignores the graph's epsilon.
+Epsilon is only a tolerance for classifying triplets in detection, so a
+tree that detection builds under a positive epsilon can be inconsistent.
 """
 
 from __future__ import annotations

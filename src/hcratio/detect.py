@@ -4,13 +4,14 @@ Pipeline, per working vertex set: build the minimal merge partition forced
 by triplet weights, look for a claw (one vertex tied equally to three
 mutually-lighter vertices in three other blocks), then derive a two-sided
 split — by candidate scan when a claw exists, by constraint 2-coloring
-otherwise — and recurse on both sides.  Succeeds if and only if some tree
-reaches ratio 1; the tree it returns always does.
+otherwise — and recurse on both sides.  At epsilon 0 it succeeds if and only
+if some tree reaches ratio 1, and the tree it returns always does.
 
 Every stage asks of triplets the question ``triplet_type`` answers one at a
-time, but asks it of a whole table at once: one numpy slab per row of the
-working set's weight matrix W.  With eq(a, b) the graph's tie predicate
-(|a - b| <= epsilon, or a == b at epsilon 0), a triplet {u, v, k} is
+time, but asks it of a whole table at once: numpy slabs over a block of rows
+of the working set's weight matrix W (one row per slab in the claw scan).
+With eq(a, b) the graph's tie predicate (|a - b| <= epsilon, or a == b at
+epsilon 0), a triplet {u, v, k} is
 
 * Type-1 with heaviest pair (u, v) when W[u,v] > mx and not eq(W[u,v], mx),
   where mx = max(W[u,k], W[v,k]);
@@ -20,7 +21,14 @@ working set's weight matrix W.  With eq(a, b) the graph's tie predicate
 * Type-3 when its three weights are pairwise eq.
 
 These rules name no order among the three pairs, so they give exactly
-``triplet_type``'s answer for any epsilon.
+``triplet_type``'s answer for any epsilon.  The Type-1 pairs come from
+``_forced_links``, which the delta-approximation shares: a pair is some
+triplet's Type-1 maximum exactly when it is one against its bottleneck.
+
+Epsilon is a classification tolerance: it decides which triplets count as
+tied.  Ratio 1 and ``cost``'s ``consistent`` are the paper's exact notions,
+so under a positive epsilon a "perfect" verdict means perfect up to ties
+within epsilon, and the tree returned need not reach ratio 1.
 """
 
 from __future__ import annotations
@@ -42,9 +50,12 @@ Value = Union[int, float]
 class Partition:
     """Disjoint nonempty vertex blocks; indexed ascending by smallest member."""
 
-    __slots__ = ("blocks", "block_of")
+    __slots__ = ("blocks", "block_of", "_type2")
 
     def __init__(self, blocks):
+        # (graph, Type-2 arrays) when minimal_valid_partition built this
+        # partition, so the split stages reuse its scan of that graph
+        self._type2 = None
         blocks = [tuple(sorted(b)) for b in blocks]
         if any(not b for b in blocks):
             raise ValueError("empty block")
@@ -152,37 +163,51 @@ def _block_labels(p: Partition, n: int) -> np.ndarray:
     return np.array([p.block_of[v] for v in range(n)], dtype=np.intp)
 
 
-def _heaviest_pairs(g: SimilarityGraph):
-    """Yield (u, v), u < v, for each pair that is some triplet's Type-1 max.
+_BLOCK = 1 << 18  # elements per slab of the cubic scans
 
-    Row u compares W[u,v] with max(W[u,k], W[v,k]) for every v > u and every
-    k at once; k = u or v never qualifies, as the diagonal is zero.
+
+def _forced_links(W, rule):
+    """(u, v) index arrays, u < v, of the pairs some third vertex forces.
+
+    ``rule(w, mx)`` says whether a third vertex k with mx = max(W[u,k],
+    W[v,k]) forces u and v together.  Every rule passed here only gets easier
+    as mx falls, so some k forces (u, v) exactly when the rule holds against
+    the bottleneck B[u,v] = min_k max(W[u,k], W[v,k]).  k = u or v gives
+    mx = W[u,v], which no such rule accepts, so B may include them.
     """
-    W = g.weights
-    tie = _tie(g)
-    for u in range(g.n - 1):
-        hit = _heaviest(W[u, u + 1:, None], W[u][None, :], W[u + 1:], tie)
-        for v in (np.flatnonzero(hit.any(axis=1)) + u + 1).tolist():
-            yield u, v
+    n = len(W)
+    step = max(1, _BLOCK // max(n * n, 1))  # rows per (rows, n, n) slab
+    out = [np.empty((2, 0), dtype=np.intp)]
+    for a in range(0, n, step):
+        b = min(a + step, n)
+        B = np.maximum(W[a:b, None, :], W[None, a + 1:, :]).min(axis=2)
+        i, j = np.nonzero(rule(W[a:b, a + 1:], B))
+        u, v = i + a, j + a + 1
+        out.append(np.stack([u, v])[:, v > u])
+    u, v = np.concatenate(out, axis=1)
+    return u, v
 
 
 def _type2_triplets(g: SimilarityGraph):
     """(apex, u, v) index arrays, u < v, of every Type-2 triplet.
 
-    Row x tests every base pair (u, v) with x as apex at once.
+    A base (u, v) needs an apex x with both legs strictly heavier than
+    W[u,v].  With V = -W that is max(V[x,u], V[x,v]) < V[u,v], a rule that
+    only gets easier as the max falls, so ``_forced_links`` over V lists the
+    candidate bases (an ultrametric has none).  Blocks of candidates then
+    test every apex at once.
     """
     W = g.weights
     tie = _tie(g)
-    n = g.n
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    apex, us, vs = [], [], []
-    for x in range(n):
-        u, v = np.nonzero(
-            upper & _tied_apex(W, W[x][:, None], W[x][None, :], tie))
-        apex.append(np.full(len(u), x, dtype=np.intp))
-        us.append(u)
-        vs.append(v)
-    return np.concatenate(apex), np.concatenate(us), np.concatenate(vs)
+    u, v = _forced_links(-W, lambda w, mx: mx < w)
+    out = [np.empty((3, 0), dtype=np.intp)]
+    step = max(1, _BLOCK // max(g.n, 1))  # bases per (bases, n) slab
+    for a in range(0, len(u), step):
+        bu, bv = u[a:a + step], v[a:a + step]
+        i, x = np.nonzero(_tied_apex(W[bu, bv][:, None], W[bu], W[bv], tie))
+        out.append(np.stack([x, bu[i], bv[i]]))
+    apex, u, v = np.concatenate(out, axis=1)
+    return apex, u, v
 
 
 # ---------------------------------------------------------------------------
@@ -235,15 +260,22 @@ def minimal_valid_partition(g: SimilarityGraph) -> Optional[Partition]:
     partition is the least fixpoint of both rules, so the order of unions
     does not change it.  None means everything collapsed into one block: no
     two-sided split of the working set can respect the weights.
+
+    A pair is some triplet's Type-1 maximum exactly when it is one against
+    its bottleneck (``_forced_links``): w > mx beyond a tie only gets easier
+    as mx falls, because w - mx then exceeds the tolerance by more.
     """
     n = g.n
     if n < 2:
         raise ValueError("need at least 2 vertices")
+    tie = _tie(g)
     uf = _UnionFind(n)
-    for pair in _heaviest_pairs(g):
-        uf.union(*pair)
+    for x, y in zip(*(a.tolist() for a in _forced_links(
+            g.weights, lambda w, mx: _heaviest(w, mx, mx, tie)))):
+        uf.union(x, y)
 
-    apex, u, v = _type2_triplets(g)
+    type2 = _type2_triplets(g)
+    apex, u, v = type2
     while True:
         root = np.array([uf.find(x) for x in range(n)])
         hit = (root[u] == root[v]) & (root[apex] != root[u])
@@ -255,12 +287,20 @@ def minimal_valid_partition(g: SimilarityGraph) -> Optional[Partition]:
     groups = uf.groups()
     if len(groups) == 1:
         return None
-    return Partition(groups)
+    p = Partition(groups)
+    p._type2 = (g, type2)
+    return p
 
 
 def _crossing_type2(g: SimilarityGraph, p: Partition):
-    """(apex, u, v) index arrays of the Type-2 triplets spanning 3 blocks."""
-    apex, u, v = _type2_triplets(g)
+    """(apex, u, v) index arrays of the Type-2 triplets spanning 3 blocks.
+
+    Reuses the Type-2 scan that built ``p`` when it was built from ``g``.
+    """
+    if p._type2 is not None and p._type2[0] is g:
+        apex, u, v = p._type2[1]
+    else:
+        apex, u, v = _type2_triplets(g)
     lab = _block_labels(p, g.n)
     ba, bu, bv = lab[apex], lab[u], lab[v]
     keep = (ba != bu) & (ba != bv) & (bu != bv)

@@ -9,6 +9,8 @@ all triplets.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -252,42 +254,65 @@ def load_edge_list(text: str, epsilon: float = 0.0) -> SimilarityGraph:
 
     Vertex indices follow first appearance; pairs never mentioned get weight
     zero.  '#' starts a comment.  Raises SelfLoop / DuplicateEdge /
-    InvalidWeight on bad records.
-    """
-    order: dict[str, int] = {}
-    records: list[tuple[str, str, object]] = []
-    seen: set[tuple[str, str]] = set()
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ParseError(f"line {lineno}: expected 'u v w', got {raw!r}")
-        u, v, wtok = parts
-        if u == v:
-            raise SelfLoop(f"line {lineno}: self-loop on {u!r}")
-        w = _parse_weight(wtok, lineno)
-        key = (u, v) if u <= v else (v, u)
-        if key in seen:
-            raise DuplicateEdge(f"line {lineno}: pair {u!r},{v!r} repeated")
-        seen.add(key)
-        for name in (u, v):
-            if name not in order:
-                order[name] = len(order)
-        records.append((u, v, w))
+    InvalidWeight on bad records, for the first bad line in the file.
 
-    n = len(order)
-    floaty = any(isinstance(w, float) for _, _, w in records)
-    mat = np.zeros((n, n), dtype=np.float64 if floaty else np.int64)
-    for u, v, w in records:
-        mat[order[u], order[v]] = w
-        mat[order[v], order[u]] = w
-    return SimilarityGraph(mat, labels=list(order), epsilon=epsilon)
+    Records are gathered as one flat token list and checked as arrays; a
+    malformed line ends the gathering, and reports its error only when no
+    record before it is bad.
+    """
+    toks: list[str] = []
+    malformed = None
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        parts = raw.split("#", 1)[0].split()
+        if len(parts) == 3:
+            toks += parts
+        elif parts:
+            malformed = lineno, raw
+            break
+    wtoks = toks[2::3]
+    del toks[2::3]  # toks now holds u0, v0, u1, v1, ...
+    m = len(wtoks)
+    index = {name: i for i, name in enumerate(dict.fromkeys(toks))}
+    ends = np.fromiter(map(index.__getitem__, toks), dtype=np.intp,
+                       count=2 * m).reshape(m, 2)
+    w, bad = _weights(wtoks)
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    bad = min(bad, _first(lo == hi, m), _first_repeat(lo * len(index) + hi, m))
+    if bad < m:
+        _raise_edge_error(text, bad)
+    if malformed is not None:
+        lineno, raw = malformed
+        raise ParseError(f"line {lineno}: expected 'u v w', got {raw!r}")
+
+    n = len(index)
+    mat = np.zeros((n, n), dtype=w.dtype)
+    mat[lo, hi] = w
+    mat[hi, lo] = w
+    return SimilarityGraph(mat, labels=list(index), epsilon=epsilon)
+
+
+def _raise_edge_error(text: str, record: int):
+    """Raise the error of the given record (0-based), known to be bad.
+
+    The checks run in the order a per-line parse meets them: self-loop,
+    then the weight, then the repeated pair.
+    """
+    lines = ((lineno, raw.split("#", 1)[0].split())
+             for lineno, raw in enumerate(text.splitlines(), 1))
+    records = ((lineno, parts) for lineno, parts in lines if parts)
+    lineno, (u, v, wtok) = next(itertools.islice(records, record, None))
+    if u == v:
+        raise SelfLoop(f"line {lineno}: self-loop on {u!r}")
+    _parse_weight(wtok, lineno)
+    raise DuplicateEdge(f"line {lineno}: pair {u!r},{v!r} repeated")
 
 
 def load_matrix(text: str, epsilon: float = 0.0) -> SimilarityGraph:
-    """Parse the square-matrix format: a line with n, then n rows of n values."""
+    """Parse the square-matrix format: a line with n, then n rows of n values.
+
+    A row's first bad token is reported before a wrong row length, and
+    earlier rows before later ones.
+    """
     lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
     if not lines:
@@ -303,15 +328,68 @@ def load_matrix(text: str, epsilon: float = 0.0) -> SimilarityGraph:
         raise ParseError("vertex count must be nonnegative")
     if len(lines) != n + 1:
         raise ParseError(f"expected {n} matrix rows, found {len(lines) - 1}")
-    rows = []
-    for r, ln in enumerate(lines[1:], 1):
-        vals = [_parse_weight(tok, r) for tok in ln.split()]
-        if len(vals) != n:
-            raise ParseError(f"row {r}: expected {n} values, got {len(vals)}")
-        rows.append(vals)
-    floaty = any(isinstance(v, float) for row in rows for v in row)
-    mat = np.array(rows, dtype=np.float64 if floaty else np.int64)
-    return SimilarityGraph(mat, epsilon=epsilon)
+    toks: list[str] = []
+    widths = []
+    for ln in lines[1:]:
+        parts = ln.split()
+        toks += parts
+        widths.append(len(parts))
+    starts = list(itertools.accumulate(widths, initial=0))
+    w, bad = _weights(toks)
+    # row of the first bad token: the last row starting at or before it
+    r = min(bisect.bisect_right(starts, bad) - 1,
+            _first(np.array(widths) != n, n))
+    if r < n:
+        for tok in lines[r + 1].split():
+            _parse_weight(tok, r + 1)
+        raise ParseError(f"row {r + 1}: expected {n} values, got {widths[r]}")
+    # n = 0 keeps the 1-d empty array, which SimilarityGraph rejects
+    return SimilarityGraph(w.reshape(n, n) if n else w, epsilon=epsilon)
+
+
+def _weights(toks: list[str]) -> tuple[np.ndarray, int]:
+    """Weights of the leading good tokens, and the index of the first bad one.
+
+    The index is len(toks) when every token is a good weight.  The array is
+    int64 unless some token reads as a float, then float64.  Tokens go
+    through ``int`` in one pass; ``_parse_weight`` reads them one at a time
+    only when that fails.
+    """
+    try:
+        w = np.fromiter(map(int, toks), dtype=np.int64, count=len(toks))
+    except (ValueError, OverflowError):
+        vals = []
+        for tok in toks:
+            try:
+                vals.append(_parse_weight(tok, 0))
+            except ParseError:
+                break
+        floaty = any(isinstance(v, float) for v in vals)
+        return np.array(vals, dtype=np.float64 if floaty else np.int64), len(vals)
+    bad = _first(w < 0, len(w))
+    return w[:bad], bad
+
+
+def _first(mask: np.ndarray, default: int) -> int:
+    """Index of the first true entry of ``mask``, or ``default``."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if len(hits) else default
+
+
+def _first_repeat(keys: np.ndarray, default: int) -> int:
+    """Index of the first key equal to an earlier one, or ``default``.
+
+    Keys are nonnegative.  A count per key rules repeats out without sorting
+    (numpy's sorts page in a few hundred KB of code on first use); only a
+    repeat walks the keys.
+    """
+    if len(keys) and np.bincount(keys).max() > 1:
+        seen = set()
+        for i, k in enumerate(keys.tolist()):
+            if k in seen:
+                return i
+            seen.add(k)
+    return default
 
 
 def load_graph(text: str, epsilon: float = 0.0) -> SimilarityGraph:

@@ -14,9 +14,12 @@ from hypothesis import strategies as st
 
 from hcratio import (
     ClusterLabelSet,
+    DuplicateEdge,
     HcTree,
     Partition,
+    ParseError,
     RootedTripletConstraint,
+    SelfLoop,
     SimilarityGraph,
     base_cost,
     build_bisection,
@@ -31,6 +34,7 @@ from hcratio.brute import (
 )
 from hcratio.cost import ratio_of
 from hcratio.detect import _UnionFind, _claw_from_labels
+from hcratio.graph import _parse_weight
 
 
 # -- graph builders ----------------------------------------------------------
@@ -420,3 +424,67 @@ def oracle_build_bisection(g):
             detect_claw=oracle_detect_claw,
             _crossing_type2=oracle_crossing_type2):
         return build_bisection(g)
+
+
+# -- record-at-a-time loader oracles ------------------------------------------
+# The loaders as they were before they went to token arrays: one record or
+# row at a time, raising at the first bad one.
+
+def oracle_load_edge_list(text, epsilon=0.0):
+    order = {}
+    records = []
+    seen = set()
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise ParseError(f"line {lineno}: expected 'u v w', got {raw!r}")
+        u, v, wtok = parts
+        if u == v:
+            raise SelfLoop(f"line {lineno}: self-loop on {u!r}")
+        w = _parse_weight(wtok, lineno)
+        key = (u, v) if u <= v else (v, u)
+        if key in seen:
+            raise DuplicateEdge(f"line {lineno}: pair {u!r},{v!r} repeated")
+        seen.add(key)
+        for name in (u, v):
+            if name not in order:
+                order[name] = len(order)
+        records.append((u, v, w))
+
+    n = len(order)
+    floaty = any(isinstance(w, float) for _, _, w in records)
+    mat = np.zeros((n, n), dtype=np.float64 if floaty else np.int64)
+    for u, v, w in records:
+        mat[order[u], order[v]] = w
+        mat[order[v], order[u]] = w
+    return SimilarityGraph(mat, labels=list(order), epsilon=epsilon)
+
+
+def oracle_load_matrix(text, epsilon=0.0):
+    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln]
+    if not lines:
+        raise ParseError("empty matrix input")
+    head = lines[0].split()
+    if len(head) != 1:
+        raise ParseError("first line must contain the vertex count only")
+    try:
+        n = int(head[0])
+    except ValueError:
+        raise ParseError(f"bad vertex count {head[0]!r}") from None
+    if n < 0:
+        raise ParseError("vertex count must be nonnegative")
+    if len(lines) != n + 1:
+        raise ParseError(f"expected {n} matrix rows, found {len(lines) - 1}")
+    rows = []
+    for r, ln in enumerate(lines[1:], 1):
+        vals = [_parse_weight(tok, r) for tok in ln.split()]
+        if len(vals) != n:
+            raise ParseError(f"row {r}: expected {n} values, got {len(vals)}")
+        rows.append(vals)
+    floaty = any(isinstance(v, float) for row in rows for v in row)
+    mat = np.array(rows, dtype=np.float64 if floaty else np.int64)
+    return SimilarityGraph(mat, epsilon=epsilon)

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -10,6 +11,7 @@ from hcratio import (
     InvalidDelta,
     RootedTripletConstraint,
     approx_tree,
+    binarize,
     build_bisection,
     build_constraints,
     optimal_ratio_bruteforce,
@@ -19,9 +21,11 @@ from hcratio import (
 
 from helpers import (
     graph_from,
+    leaves_of,
     oracle_build_constraints,
     path_graph,
     random_int_graph,
+    random_nested,
     star_graph,
     tie_heavy_graphs,
 )
@@ -100,12 +104,13 @@ def test_constraints_match_loop_oracle(g, delta):
     assert build_constraints(g, delta) == oracle_build_constraints(g, delta)
 
 
-@given(st.integers(3, 7), st.integers(0, 10**6))
-@settings(max_examples=40, deadline=None)
-def test_constraints_exact_at_the_int64_weight_bound(n, seed):
-    # delta^2 = 100020001 / 10^8: at weights near 2^63 / n^3 the products
-    # w x 10^8 leave int64, and the top/runner-up ratios below sit exactly
-    # on, just under and just over delta^2
+def int64_bound_graph(n, seed):
+    """Weights near 2^63 / n^3 whose products with delta^2 = 1.0001^2 leave
+    int64.
+
+    delta^2 = 100020001 / 10^8, and the top/runner-up ratios sit exactly on,
+    just under and just over it.
+    """
     p, q = 100020001, 10**8
     limit = (2**63 - 1) // n**3
     k = limit // p
@@ -119,6 +124,13 @@ def test_constraints_exact_at_the_int64_weight_bound(n, seed):
                                   endpoint=True))
     g = graph_from(W + W.T)
     assert g.integral and int(g.weights.max()) * p >= 2**63
+    return g
+
+
+@given(st.integers(3, 7), st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_constraints_exact_at_the_int64_weight_bound(n, seed):
+    g = int64_bound_graph(n, seed)
     assert build_constraints(g, 1.0001) == oracle_build_constraints(g, 1.0001)
 
 
@@ -198,6 +210,51 @@ def test_star_needs_no_constraints_and_lands_perfect():
     assert build_constraints(g, 1) == set()
     t = approx_tree(g, 1)
     assert ratio_cost(g, t) == Fraction(1)
+
+
+def constraint_tree(g, delta):
+    """BUILD over the listed constraints, binarized: what approx_tree gives."""
+    t = rtc_build(build_constraints(g, delta), g.n)
+    return None if t is None else binarize(t).to_nested()
+
+
+def nested_or_none(t):
+    return None if t is None else t.to_nested()
+
+
+@given(tie_heavy_graphs(1, 12),
+       st.sampled_from([1, Fraction(5, 4), 1.2, 1.5, 2, Fraction(7, 3)]))
+@settings(max_examples=200, deadline=None)
+def test_approx_tree_matches_constraint_build(g, delta):
+    assert nested_or_none(approx_tree(g, delta)) == constraint_tree(g, delta)
+
+
+@given(st.integers(3, 9), st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_approx_tree_exact_at_the_int64_weight_bound(n, seed):
+    g = int64_bound_graph(n, seed)
+    assert nested_or_none(approx_tree(g, 1.0001)) == constraint_tree(g, 1.0001)
+
+
+def perfect_graph(rng, n):
+    """Weights n - |LCA cluster| over a random binary tree: a perfect graph."""
+    W = np.zeros((n, n), dtype=np.int64)
+    stack = [random_nested(rng, n)]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, tuple):
+            a, b = (sorted(leaves_of(c)) for c in node)
+            W[np.ix_(a, b)] = W[np.ix_(b, a)] = n - len(a) - len(b)
+            stack.extend(node)
+    return graph_from(W)
+
+
+def test_approx_n150_is_fast():
+    g = perfect_graph(np.random.default_rng(150), 150)
+    start = time.perf_counter()
+    t = approx_tree(g, 1.2)
+    assert time.perf_counter() - start < 1.0
+    assert ratio_cost(g, t) <= 1 + Fraction(6, 5) ** 2  # the graph is perfect
 
 
 # -- distortion guarantee -----------------------------------------------------

@@ -25,6 +25,7 @@ from hcratio import (
     valid_bisect,
     zero_base_cost_tree,
 )
+from hcratio import detect
 from hcratio.detect import _crossing_type2
 
 from helpers import (
@@ -379,6 +380,31 @@ def test_case2_output_respects_constraints():
                 u, v = (x for x in (i, j, k) if x != tt.apex)
                 assert side[u] != side[v]
     assert checked >= 20
+
+
+def test_valid_bisect_scans_type2_once_per_working_set(monkeypatch):
+    scans, sets = [], []
+    type2_triplets, bisect = detect._type2_triplets, detect.valid_bisect
+
+    def counted_scan(g):
+        scans.append(g)
+        return type2_triplets(g)
+
+    def counted_bisect(g):
+        sets.append(g)
+        return bisect(g)
+
+    monkeypatch.setattr(detect, "_type2_triplets", counted_scan)
+    monkeypatch.setattr(detect, "valid_bisect", counted_bisect)
+    rng = np.random.default_rng(41)
+    # a claw split, a constraint split, a collapse, and random graphs
+    graphs = [star_graph(6), cycle_graph(4), linked_stars(8), path_graph(5)]
+    graphs += [sparse_graph(rng, 7) for _ in range(20)]
+    for g in graphs:
+        scans.clear()
+        sets.clear()
+        build_bisection(g)
+        assert scans == [s for s in sets if s.n > 2]
 
 
 def test_valid_bisect_two_vertices():

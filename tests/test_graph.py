@@ -18,7 +18,16 @@ from hcratio import (
     triplet_type,
 )
 
-from helpers import clique_graph, graph_from, linked_stars, oracle_base, path_graph, random_int_graph
+from helpers import (
+    clique_graph,
+    graph_from,
+    linked_stars,
+    oracle_base,
+    oracle_load_edge_list,
+    oracle_load_matrix,
+    path_graph,
+    random_int_graph,
+)
 
 
 # -- construction & validation ----------------------------------------------
@@ -145,6 +154,88 @@ def test_matrix_shape_errors():
         load_matrix("3\n0 1\n1 0\n")
     with pytest.raises(ParseError):
         load_matrix("2\n0 1 0\n1 0 0\n")
+
+
+GOOD_WEIGHTS = ["0", "1", "3", "12", "0.5", "2.25", "1e2", "007", "1_0",
+                str(2**63 - 1)]
+BAD_WEIGHTS = ["-1", "-0.5", "nan", "inf", "x", str(2**63), "9" * 30, "1e400"]
+FILLERS = ["", "   ", "# note", "#", "\t# 1 2 3"]
+
+
+def outcome(load, text):
+    """The loaded graph's defining data, or the error's type and message."""
+    try:
+        g = load(text)
+    except Exception as e:  # compared across loaders, never swallowed
+        return type(e), str(e)
+    return g.weights.dtype, g.weights.tolist(), g.labels, g.epsilon
+
+
+def with_fillers(draw, lines):
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(FILLERS)))
+    comment = st.sampled_from(["", "  # tail", "#x"])
+    return "\n".join(ln + draw(comment) if ln.strip() else ln for ln in lines)
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Unique pairs with good weights, then up to two bad lines anywhere."""
+    names = ["a", "b", "c", "d", "10", "2"]
+    pairs = draw(st.lists(
+        st.tuples(st.sampled_from(names), st.sampled_from(names)).filter(
+            lambda t: t[0] != t[1]),
+        max_size=10, unique_by=lambda t: frozenset(t)))
+    lines = [f"{u} {v} {draw(st.sampled_from(GOOD_WEIGHTS))}" for u, v in pairs]
+    for _ in range(draw(st.integers(0, 2))):
+        u, v = draw(st.sampled_from(pairs or [("a", "b")]))
+        w = draw(st.sampled_from(GOOD_WEIGHTS + BAD_WEIGHTS))
+        bad = draw(st.sampled_from([
+            f"{u} {u} {w}", f"{u} {v} {draw(st.sampled_from(BAD_WEIGHTS))}",
+            f"{u} {v}", f"{u} {v} 1 2", f"{v} {u} {w}"]))
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    return with_fillers(draw, lines)
+
+
+@st.composite
+def matrix_texts(draw):
+    """A symmetric token matrix, then up to two bad tokens, rows or heads."""
+    n = draw(st.integers(0, 5))
+    # weights far below the int64 cost bound, so that most matrices load
+    tok = [[draw(st.sampled_from(GOOD_WEIGHTS[:7])) for _ in range(n)]
+           for _ in range(n)]
+    for i in range(n):
+        tok[i][i] = "0"
+        for j in range(i):
+            tok[i][j] = tok[j][i]
+    head = str(n)
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["token", "short", "long", "head"]))
+        if kind == "head":
+            head = draw(st.sampled_from(["x", "-1", f"{n} {n}", str(n + 1)]))
+        elif n:
+            row = tok[draw(st.integers(0, n - 1))]
+            if kind == "long":
+                row.append("1")
+            elif row and kind == "short":
+                row.pop()
+            elif row:
+                row[draw(st.integers(0, len(row) - 1))] = draw(
+                    st.sampled_from(BAD_WEIGHTS))
+    return with_fillers(draw, [head] + [" ".join(row) for row in tok])
+
+
+@given(edge_list_texts())
+@settings(max_examples=300, deadline=None)
+def test_edge_list_loader_matches_record_oracle(text):
+    assert outcome(load_edge_list, text) == outcome(oracle_load_edge_list, text)
+
+
+@given(matrix_texts())
+@settings(max_examples=300, deadline=None)
+def test_matrix_loader_matches_row_oracle(text):
+    assert outcome(load_matrix, text) == outcome(oracle_load_matrix, text)
 
 
 def test_load_graph_autodetects():
