@@ -1,15 +1,18 @@
 """Exact recognition of graphs a tree can cluster at the cost lower bound.
 
 Pipeline, per working vertex set: build the minimal merge partition forced
-by triplet weights, look for a claw (one vertex tied equally to three
-mutually-lighter vertices in three other blocks), then derive a two-sided
-split — by candidate scan when a claw exists, by constraint 2-coloring
-otherwise — and recurse on both sides.  At epsilon 0 it succeeds if and only
-if some tree reaches ratio 1, and the tree it returns always does.
+by triplet weights, 2-colour its blocks so that the base blocks of each
+Type-2 triplet spanning three blocks sit apart, and when an odd cycle
+forbids that, peel off the lowest block holding no such triplet's apex;
+then recurse on both sides.  At epsilon 0 a claw is a triangle of those
+constraints, so the paper's claw case needs no claw search.  Detection
+succeeds if and only if some tree reaches ratio 1, and its tree always
+does.
 
-Every stage asks of triplets the question ``triplet_type`` answers one at a
-time, but asks it of a whole table at once: numpy slabs over a block of rows
-of the working set's weight matrix W (one row per slab in the claw scan).
+Every stage, and ``detect_claw``, asks of triplets the question
+``triplet_type`` answers one at a time, but asks it of a whole table at
+once: numpy slabs over a block of rows of the working set's weight matrix W
+(one row per slab in ``detect_claw``).
 With eq(a, b) the graph's tie predicate (|a - b| <= epsilon, or a == b at
 epsilon 0), a triplet {u, v, k} is
 
@@ -28,7 +31,9 @@ triplet's Type-1 maximum exactly when it is one against its bottleneck.
 Epsilon is a classification tolerance: it decides which triplets count as
 tied.  Ratio 1 and ``cost``'s ``consistent`` are the paper's exact notions,
 so under a positive epsilon a "perfect" verdict means perfect up to ties
-within epsilon, and the tree returned need not reach ratio 1.
+within epsilon, and the tree returned need not reach ratio 1.  Ties are
+then not transitive, so a claw need not make a triangle of constraints;
+every split still respects each triplet as epsilon classifies it.
 """
 
 from __future__ import annotations
@@ -308,11 +313,13 @@ def _crossing_type2(g: SimilarityGraph, p: Partition):
 
 
 # ---------------------------------------------------------------------------
-# stage 2: claw detection
+# claw witnesses (not a stage of valid_bisect)
 
 
 def detect_claw(g: SimilarityGraph, p: Partition) -> Optional[Claw]:
     """Find a claw whose four vertices sit in four distinct blocks, or None.
+
+    A witness finder outside the pipeline: ``valid_bisect`` does not call it.
 
     Scans vertex pairs (i, j) from different blocks in ascending order.  For
     each pair, every vertex r of every other block contributes a label for
@@ -435,54 +442,7 @@ def _is_claw(g: SimilarityGraph, apex: int, leaves: tuple[int, int, int],
 
 
 # ---------------------------------------------------------------------------
-# stage 3: split with a claw
-
-
-def case1_bipartition(g: SimilarityGraph, p: Partition,
-                      claw: Claw) -> Optional[Bipartition]:
-    """Split off one block reachable from the claw's leaves via light edges.
-
-    Each block is represented by its smallest vertex, except the claw's own
-    four vertices, which represent their blocks.  Representative pairs
-    weighing strictly less than the leg weight are light.  Any two-sided
-    split must carve out exactly one block from the light component of the
-    three leaves, so those blocks (ascending) are the only candidates; a
-    candidate survives unless some three-block two-tied-maxima triplet has
-    its apex inside it.  No survivor means no split exists at all.
-    """
-    m = len(p.blocks)
-    rep = [b[0] for b in p.blocks]
-    for v in (claw.apex, *claw.leaves):
-        rep[p.block_of[v]] = v
-    leg = claw.leg_weight
-
-    def light(x: int, y: int) -> bool:
-        w = g.weight(x, y)
-        return w < leg and not g.weights_equal(w, leg)
-
-    seeds = [p.block_of[v] for v in claw.leaves]
-    comp = set(seeds)
-    queue = list(seeds)
-    while queue:
-        b = queue.pop()
-        for other in range(m):
-            if other not in comp and light(rep[b], rep[other]):
-                comp.add(other)
-                queue.append(other)
-
-    apex, _, _ = _crossing_type2(g, p)
-    blocked = np.zeros(m, dtype=bool)
-    blocked[_block_labels(p, g.n)[apex]] = True
-
-    for b in sorted(comp):
-        if not blocked[b]:
-            rest = [v for ob in range(m) if ob != b for v in p.blocks[ob]]
-            return Bipartition(p.blocks[b], tuple(rest))
-    return None
-
-
-# ---------------------------------------------------------------------------
-# stage 3': split without a claw
+# stage 2: split by 2-colouring the Type-2 constraints
 
 
 def case2_bipartition(g: SimilarityGraph, p: Partition) -> Optional[Bipartition]:
@@ -524,9 +484,37 @@ def case2_bipartition(g: SimilarityGraph, p: Partition) -> Optional[Bipartition]
 
     side0 = [v for b in range(m) if color[b] == 0 for v in p.blocks[b]]
     side1 = [v for b in range(m) if color[b] == 1 for v in p.blocks[b]]
-    if color[0] != 0:
-        side0, side1 = side1, side0
     return Bipartition(tuple(side0), tuple(side1))
+
+
+# ---------------------------------------------------------------------------
+# stage 3: peel one block
+
+
+def case1_bipartition(g: SimilarityGraph, p: Partition) -> Optional[Bipartition]:
+    """Split off the lowest block that holds no crossing Type-2 apex, or None.
+
+    A single block b against the rest respects every triplet exactly when
+    no Type-2 triplet spanning three blocks has its apex in b: that split
+    would merge the apex's base, its lightest pair, first.  Every other
+    triplet is safe, because the minimal partition keeps each Type-1
+    maximum inside one block, and an apex inside its base's block whenever
+    the base shares one.
+
+    With a claw, every valid split peels off one block, so the lowest
+    unblocked block is the one to take.  Without a claw, an odd cycle in
+    ``case2_bipartition``'s constraints means no split exists, so every
+    block is blocked.
+    """
+    m = len(p.blocks)
+    apex, _, _ = _crossing_type2(g, p)
+    blocked = np.zeros(m, dtype=bool)
+    blocked[_block_labels(p, g.n)[apex]] = True
+    if blocked.all():
+        return None
+    b = int(np.argmin(blocked))  # lowest unblocked block
+    rest = [v for ob in range(m) if ob != b for v in p.blocks[ob]]
+    return Bipartition(p.blocks[b], tuple(rest))
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +522,13 @@ def case2_bipartition(g: SimilarityGraph, p: Partition) -> Optional[Bipartition]
 
 
 def valid_bisect(g: SimilarityGraph) -> Optional[Bipartition]:
-    """One two-sided split respecting all triplet weights, or None."""
+    """One two-sided split respecting all triplet weights, or None.
+
+    2-colour the blocks (``case2_bipartition``), else peel one block
+    (``case1_bipartition``).  At epsilon 0 a claw's apex is a crossing
+    Type-2 apex over each pair of its leaves, so a claw is an odd cycle and
+    reaches the peel without a claw search.
+    """
     if g.n < 2:
         raise ValueError("need at least 2 vertices")
     if g.n == 2:
@@ -542,10 +536,8 @@ def valid_bisect(g: SimilarityGraph) -> Optional[Bipartition]:
     p = minimal_valid_partition(g)
     if p is None:
         return None
-    claw = detect_claw(g, p)
-    if claw is not None:
-        return case1_bipartition(g, p, claw)
-    return case2_bipartition(g, p)
+    bp = case2_bipartition(g, p)
+    return bp if bp is not None else case1_bipartition(g, p)
 
 
 def zero_base_cost_tree(g: SimilarityGraph) -> HcTree:

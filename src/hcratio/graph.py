@@ -324,8 +324,8 @@ def load_matrix(text: str, epsilon: float = 0.0) -> SimilarityGraph:
         n = int(head[0])
     except ValueError:
         raise ParseError(f"bad vertex count {head[0]!r}") from None
-    if n < 0:
-        raise ParseError("vertex count must be nonnegative")
+    if n < 1:
+        raise ParseError("vertex count must be positive")
     if len(lines) != n + 1:
         raise ParseError(f"expected {n} matrix rows, found {len(lines) - 1}")
     toks: list[str] = []
@@ -343,8 +343,7 @@ def load_matrix(text: str, epsilon: float = 0.0) -> SimilarityGraph:
         for tok in lines[r + 1].split():
             _parse_weight(tok, r + 1)
         raise ParseError(f"row {r + 1}: expected {n} values, got {widths[r]}")
-    # n = 0 keeps the 1-d empty array, which SimilarityGraph rejects
-    return SimilarityGraph(w.reshape(n, n) if n else w, epsilon=epsilon)
+    return SimilarityGraph(w.reshape(n, n), epsilon=epsilon)
 
 
 def _weights(toks: list[str]) -> tuple[np.ndarray, int]:

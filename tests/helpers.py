@@ -13,6 +13,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from hcratio import (
+    Bipartition,
     ClusterLabelSet,
     DuplicateEdge,
     HcTree,
@@ -23,6 +24,9 @@ from hcratio import (
     SimilarityGraph,
     base_cost,
     build_bisection,
+    case2_bipartition,
+    detect_claw,
+    minimal_valid_partition,
     triplet_type,
 )
 from hcratio.approx import _delta_squared
@@ -33,7 +37,12 @@ from hcratio.brute import (
     _total_costs,
 )
 from hcratio.cost import ratio_of
-from hcratio.detect import _UnionFind, _claw_from_labels
+from hcratio.detect import (
+    _UnionFind,
+    _block_labels,
+    _claw_from_labels,
+    _crossing_type2,
+)
 from hcratio.graph import _parse_weight
 
 
@@ -416,14 +425,67 @@ def oracle_build_constraints(g, delta):
 
 
 def oracle_build_bisection(g):
-    """build_bisection with the loop oracles above as its partition, claw
-    and Type-2 stages; the recursion and the splits are the library's."""
+    """build_bisection with the loop oracles above as its partition and
+    Type-2 stages; the recursion and the splits are the library's."""
     with mock.patch.multiple(
             "hcratio.detect",
             minimal_valid_partition=oracle_minimal_valid_partition,
-            detect_claw=oracle_detect_claw,
             _crossing_type2=oracle_crossing_type2):
         return build_bisection(g)
+
+
+# -- the claw dispatch of the paper -------------------------------------------
+# valid_bisect as the paper states it: look for a claw first, split off a
+# block from the light component of its leaves, and 2-colour the Type-2
+# constraints only when no claw exists.
+
+def oracle_case1_bipartition(g, p, claw):
+    """Lowest unblocked block in the light component of the claw's leaves.
+
+    Each block is represented by its smallest vertex, except the claw's own
+    four vertices, which represent their blocks.  Representative pairs
+    weighing strictly less than the leg weight are light.
+    """
+    m = len(p.blocks)
+    rep = [b[0] for b in p.blocks]
+    for v in (claw.apex, *claw.leaves):
+        rep[p.block_of[v]] = v
+    leg = claw.leg_weight
+
+    def light(x, y):
+        w = g.weight(x, y)
+        return w < leg and not g.weights_equal(w, leg)
+
+    seeds = [p.block_of[v] for v in claw.leaves]
+    comp = set(seeds)
+    queue = list(seeds)
+    while queue:
+        b = queue.pop()
+        for other in range(m):
+            if other not in comp and light(rep[b], rep[other]):
+                comp.add(other)
+                queue.append(other)
+
+    apex, _, _ = _crossing_type2(g, p)
+    blocked = set(_block_labels(p, g.n)[apex].tolist())
+    for b in sorted(comp):
+        if b not in blocked:
+            rest = [v for ob in range(m) if ob != b for v in p.blocks[ob]]
+            return Bipartition(p.blocks[b], tuple(rest))
+    return None
+
+
+def oracle_valid_bisect(g):
+    """One two-sided split respecting all triplet weights, or None."""
+    if g.n == 2:
+        return Bipartition((0,), (1,))
+    p = minimal_valid_partition(g)
+    if p is None:
+        return None
+    claw = detect_claw(g, p)
+    if claw is not None:
+        return oracle_case1_bipartition(g, p, claw)
+    return case2_bipartition(g, p)
 
 
 # -- record-at-a-time loader oracles ------------------------------------------
@@ -475,8 +537,8 @@ def oracle_load_matrix(text, epsilon=0.0):
         n = int(head[0])
     except ValueError:
         raise ParseError(f"bad vertex count {head[0]!r}") from None
-    if n < 0:
-        raise ParseError("vertex count must be nonnegative")
+    if n < 1:
+        raise ParseError("vertex count must be positive")
     if len(lines) != n + 1:
         raise ParseError(f"expected {n} matrix rows, found {len(lines) - 1}")
     rows = []

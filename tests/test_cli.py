@@ -242,6 +242,15 @@ def test_malformed_graph_is_reported(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["detect", "brute"])
+def test_empty_matrix_is_reported(capsys, tmp_path, command):
+    g = tmp_path / "empty.txt"
+    g.write_text("0\n")  # no vertices: rejected before any stage runs
+    code, _, err = run(capsys, command, str(g))
+    assert code == 2
+    assert err == "error: vertex count must be positive\n"
+
+
 def test_flags_accepted_on_either_side(capsys, p4, tmp_path):
     tree = tmp_path / "t.nwk"
     tree.write_text("((0,1),(2,3));\n")

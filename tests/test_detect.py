@@ -12,14 +12,17 @@ from hcratio import (
     Claw,
     NotZeroBase,
     Partition,
+    SimilarityGraph,
     base_cost,
     build_bisection,
     case1_bipartition,
     case2_bipartition,
+    cost_report,
     detect_claw,
     is_consistent,
     minimal_valid_partition,
     optimal_ratio_bruteforce,
+    serialize_newick,
     total_cost,
     triplet_type,
     valid_bisect,
@@ -39,6 +42,7 @@ from helpers import (
     oracle_crossing_type2,
     oracle_detect_claw,
     oracle_minimal_valid_partition,
+    oracle_valid_bisect,
     path_graph,
     star_graph,
     tie_heavy_graphs,
@@ -334,8 +338,7 @@ def test_claws_valid_under_tolerance(g, data):
 def test_case1_star_split():
     g = star_graph(4)
     p = minimal_valid_partition(g)
-    c = detect_claw(g, p)
-    bp = case1_bipartition(g, p, c)
+    bp = case1_bipartition(g, p)
     assert bp == Bipartition((1,), (0, 2, 3))
 
 
@@ -405,6 +408,61 @@ def test_valid_bisect_scans_type2_once_per_working_set(monkeypatch):
         sets.clear()
         build_bisection(g)
         assert scans == [s for s in sets if s.n > 2]
+
+
+def claw_graph(rng):
+    """Four blocks, vertices in random order: an apex block tied at weight 2
+    to three leaf blocks whose mutual weights are all 0 or all 1, weight 3
+    inside a block, then up to two random weights redrawn; integer or
+    float."""
+    block = rng.permutation(np.repeat(np.arange(4), rng.integers(1, 4, size=4)))
+    n = len(block)
+    light = rng.integers(0, 2)
+    W = np.zeros((n, n), dtype=np.int64)
+    for u, v in combinations(range(n), 2):
+        if block[u] == block[v]:
+            w = 3
+        elif 0 in (block[u], block[v]):
+            w = 2
+        else:
+            w = light
+        W[u, v] = W[v, u] = w
+    for _ in range(rng.integers(0, 3)):
+        u, v = rng.choice(n, size=2, replace=False)
+        W[u, v] = W[v, u] = rng.integers(0, 4)
+    return graph_from(W * 0.5 if rng.random() < 0.5 else W)
+
+
+def bisect_against_claw_dispatch(g):
+    """Run build_bisection(g), checking valid_bisect against the claw
+    dispatch on every working set; return how many sets hold a claw."""
+    claws = 0
+
+    def checked(sub):
+        nonlocal claws
+        bp = valid_bisect(sub)
+        assert bp == oracle_valid_bisect(sub)
+        if sub.n > 2:
+            p = minimal_valid_partition(sub)
+            claws += p is not None and detect_claw(sub, p) is not None
+        return bp
+
+    with mock.patch("hcratio.detect.valid_bisect", checked):
+        build_bisection(g)
+    return claws
+
+
+def test_valid_bisect_matches_claw_dispatch_on_claw_graphs():
+    rng = np.random.default_rng(8)
+    claws = sum(bisect_against_claw_dispatch(claw_graph(rng))
+                for _ in range(500))
+    assert claws >= 200
+
+
+@given(tie_heavy_graphs())
+@settings(max_examples=150, deadline=None)
+def test_valid_bisect_matches_claw_dispatch_at_epsilon_0(g):
+    bisect_against_claw_dispatch(SimilarityGraph(g.weights, epsilon=0.0))
 
 
 def test_valid_bisect_two_vertices():
@@ -540,6 +598,45 @@ def test_detect_epsilon_tolerance():
     res = build_bisection(g_tol)
     assert res.perfect
     assert res.tree.to_nested() == ((0, 1), (2, 3))
+
+
+def assert_respects_triplets(g, t):
+    """Each triplet merges as ``triplet_type`` reads it under g's epsilon:
+    a Type-1 maximum first, a Type-2 base never first, and only a Type-3
+    triplet simultaneously."""
+    for i, j, k in combinations(range(g.n), 3):
+        tt = triplet_type(g, i, j, k)
+        rel = t.merge_relation(i, j, k)
+        if tt.is_type1:
+            assert rel.pair == tt.max_pair, (i, j, k)
+        elif tt.is_type2:
+            assert not rel.is_simultaneous and tt.apex in rel.pair, (i, j, k)
+
+
+@given(tie_heavy_graphs())
+@settings(max_examples=200, deadline=None)
+def test_perfect_trees_respect_every_triplet(g):
+    res = build_bisection(g)
+    if res.perfect:
+        assert_respects_triplets(g, res.tree)
+        if g.integral and g.epsilon == 0:
+            assert cost_report(g, res.tree).consistent
+
+
+def test_tolerance_odd_cycle_without_claw_peels_a_block():
+    # under epsilon 1 apex 0 is Type-2 over every pair of 1, 2, 3, so the
+    # constraints form a triangle; yet there is no claw, as the leaves'
+    # mutual weight 1 ties the leg weight 2.  The claw dispatch therefore
+    # 2-colours the triangle and gives up; peeling vertex 1 still splits.
+    g = graph_from([[0, 2, 2, 3],
+                    [2, 0, 0, 1],
+                    [2, 0, 0, 1],
+                    [3, 1, 1, 0]], epsilon=1)
+    assert detect_claw(g, minimal_valid_partition(g)) is None
+    assert oracle_valid_bisect(g) is None
+    res = build_bisection(g)
+    assert serialize_newick(res.tree) == "(((0,2),3),1);"
+    assert_respects_triplets(g, res.tree)
 
 
 # -- table scans against the per-triplet loop oracles ------------------------

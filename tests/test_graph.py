@@ -154,6 +154,8 @@ def test_matrix_shape_errors():
         load_matrix("3\n0 1\n1 0\n")
     with pytest.raises(ParseError):
         load_matrix("2\n0 1 0\n1 0 0\n")
+    with pytest.raises(ParseError, match="vertex count must be positive"):
+        load_matrix("0\n")
 
 
 GOOD_WEIGHTS = ["0", "1", "3", "12", "0.5", "2.25", "1e2", "007", "1_0",
