@@ -21,7 +21,6 @@ from .cost import (
 from .detect import (
     Bipartition,
     Claw,
-    ClusterLabelSet,
     DetectionResult,
     Partition,
     build_bisection,
@@ -84,7 +83,7 @@ __all__ = [
     "HcTree", "TripletRelation", "binarize", "parse_newick", "serialize_newick",
     "CostReport", "cost_report", "dasgupta_cost", "find_inconsistent_triplet",
     "is_consistent", "ratio_cost", "total_cost", "triplet_cost",
-    "Partition", "Bipartition", "Claw", "ClusterLabelSet", "DetectionResult",
+    "Partition", "Bipartition", "Claw", "DetectionResult",
     "minimal_valid_partition", "detect_claw", "case1_bipartition",
     "case2_bipartition", "valid_bisect", "build_bisection", "zero_base_cost_tree",
     "RootedTripletConstraint", "build_constraints", "rtc_build", "approx_tree",

@@ -11,8 +11,7 @@ does.
 
 Every stage, and ``detect_claw``, asks of triplets the question
 ``triplet_type`` answers one at a time, but asks it of a whole table at
-once: numpy slabs over a block of rows of the working set's weight matrix W
-(one row per slab in ``detect_claw``).
+once: numpy slabs over a block of rows of the working set's weight matrix W.
 With eq(a, b) the graph's tie predicate (|a - b| <= epsilon, or a == b at
 epsilon 0), a triplet {u, v, k} is
 
@@ -40,7 +39,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -107,19 +106,6 @@ class Claw:
 
     def __post_init__(self):
         object.__setattr__(self, "leaves", tuple(sorted(self.leaves)))
-
-
-@dataclass
-class ClusterLabelSet:
-    """Labels one block collects while scanning a crossing pair.
-
-    label0 / label1 hold a witness vertex (or None); label2 maps each
-    distinct tied-leg weight to the witness vertex that produced it.
-    """
-
-    label0: Optional[int] = None
-    label1: Optional[int] = None
-    label2: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -317,128 +303,46 @@ def _crossing_type2(g: SimilarityGraph, p: Partition):
 
 
 def detect_claw(g: SimilarityGraph, p: Partition) -> Optional[Claw]:
-    """Find a claw whose four vertices sit in four distinct blocks, or None.
+    """The first claw whose four vertices sit in four distinct blocks, or None.
 
     A witness finder outside the pipeline: ``valid_bisect`` does not call it.
 
-    Scans vertex pairs (i, j) from different blocks in ascending order.  For
-    each pair, every vertex r of every other block contributes a label for
-    r's block, keyed by how the triplet {i, j, r} ties:
+    A claw is an apex x and leaves a < b < c whose legs W[x,b] and W[x,c]
+    tie the leg weight L = W[x,a], and whose three leaf pairs are lighter
+    than L beyond a tie.  Claws are returned in ascending (apex, leaves)
+    order, with leg weight L.
 
-    * all three weights equal                  -> '0'
-    * (i, j) among the two tied heaviest pairs -> '1'
-    * (i, j) strictly lightest, w(r,i)=w(r,j)  -> '(2, w)' with w the tie
-
-    Two labels on two *different* blocks identify a claw with (i, j) as one
-    leaf pair: '0' with '(2,w)', '1' with '(2,w)', or '(2,w)' with '(2,w'')'
-    at distinct weights (the larger tie is the leg weight).  A match counts
-    only if its legs all tie the leg weight and the leaves' mutual weights
-    are lighter beyond a tie, so every claw returned is one by definition.
-
-    Row i classifies {i, j, r} for every j > i and every r in one table
-    scan.  A pair can only yield a claw when some r is a Type-2 apex over
-    (i, j) and the non-Type-1 witnesses r span at least two blocks; only
-    such pairs, still in (i, j) order, collect labels and are matched, so
-    the claw returned is the first the full pair scan would find.
+    Each pair (a, y), y in {b, c}, is then the base of a Type-2 triplet
+    under apex x.  The legs L and W[x,y] tie.  The base W[a,y] lies below
+    L beyond a tie, so it does not tie L, and it lies below W[x,y], which
+    is within the tolerance of L.  The three vertices sit in three blocks,
+    so the triplet is in ``_crossing_type2``'s table.  Grouping that table
+    by (apex, u = a) therefore lists every candidate y; among those whose
+    base is light against L, the claw's other two leaves are the first
+    pair (b, c) that is light against L and sits in two blocks.
     """
+    apex, u, v = _crossing_type2(g, p)
     W = g.weights
     tie = _tie(g)
-    n = g.n
-    lab = _block_labels(p, n)
-    for i in range(n - 1):
-        js = np.arange(i + 1, n)
-        js = js[lab[js] != lab[i]]
-        a = W[i, js][:, None]  # w(i, j)
-        b = W[i][None, :]      # w(i, r)
-        c = W[js]              # w(j, r)
-        other = (lab[None, :] != lab[i]) & (lab[None, :] != lab[js][:, None])
-        # Type-1 triplets carry no label.  Over the minimal partition none
-        # spans three blocks (its heaviest pair shares a block), so this
-        # mask only matters for other partitions.
-        witness = other & ~(_heaviest(a, b, c, tie) | _heaviest(b, a, c, tie)
-                            | _heaviest(c, a, b, tie))
-        apex_r = other & _tied_apex(a, b, c, tie)
-        equal3 = tie(a, b) & tie(a, c) & tie(b, c)
-        lo = np.where(witness, lab, n).min(axis=1, initial=n)
-        hi = np.where(witness, lab, -1).max(axis=1, initial=-1)
-        for x in np.flatnonzero(apex_r.any(axis=1) & (lo < hi)).tolist():
-            labels: dict[int, ClusterLabelSet] = {}
-            for r in np.flatnonzero(witness[x]).tolist():
-                ls = labels.setdefault(int(lab[r]), ClusterLabelSet())
-                if equal3[x, r]:
-                    if ls.label0 is None:
-                        ls.label0 = r
-                elif apex_r[x, r]:
-                    ls.label2.setdefault(g.weight(r, i), r)
-                elif ls.label1 is None:  # apex is i or j: (i, j) is a tied max
-                    ls.label1 = r
-            claw = _claw_from_labels(g, i, int(js[x]), labels)
-            if claw is not None:
-                return claw
-    return None
-
-
-def _claw_from_labels(g: SimilarityGraph, i: int, j: int,
-                      labels: dict[int, ClusterLabelSet]) -> Optional[Claw]:
-    """The first label match that is a claw in full, or None.
-
-    Under a positive epsilon ties are not transitive, so a match can pair
-    legs that do not all tie, or leaves whose mutual weight ties the leg
-    weight; such a match is skipped, as is any match that is no claw over
-    a partition other than the minimal one.  Over the minimal partition at
-    epsilon 0 every match is a claw.
-    """
-    for apex, s, w in _claw_matches(g, labels):
-        if _is_claw(g, apex, (i, j, s), w):
-            return Claw(apex=apex, leaves=(i, j, s), leg_weight=w)
-    return None
-
-
-def _claw_matches(g: SimilarityGraph, labels: dict[int, ClusterLabelSet]):
-    """Yield (apex, third leaf, leg weight) per label match, in scan order."""
-    order = sorted(labels)
-    twos = [(b, w, r) for b in order for w, r in sorted(labels[b].label2.items())]
-    if not twos:
-        return
-    # '0' + '(2,w)' on distinct blocks: apex is the tied witness
-    for b in order:
-        s = labels[b].label0
-        if s is None:
+    order = np.lexsort((v, u, apex))
+    # a Type-2 base already lies below its legs; keep the ones beyond a tie
+    order = order[~tie(W[u, v], W[apex, u])[order]]
+    apex, u, v = apex[order], u[order], v[order]
+    lab = _block_labels(p, g.n)
+    # each group of equal (apex, u) runs from one start to the next
+    starts = np.flatnonzero(np.diff(apex, prepend=-1) | np.diff(u, prepend=-1))
+    for s, e in zip(starts.tolist(), np.append(starts[1:], len(v)).tolist()):
+        if e - s < 2:
             continue
-        for bt, w, r in twos:
-            if bt != b:
-                yield r, s, w
-    # '1' + '(2,w)' on distinct blocks
-    for b in order:
-        s = labels[b].label1
-        if s is None:
-            continue
-        for bt, w, r in twos:
-            if bt != b:
-                yield r, s, w
-    # '(2,w)' + '(2,w'')' on distinct blocks, w != w'': heavier tie is the leg
-    # (distinctness respects the comparison tolerance, else two ties that
-    # count as equal would fabricate a claw with untied legs)
-    for x in range(len(twos)):
-        b1, w1, r1 = twos[x]
-        for y in range(x + 1, len(twos)):
-            b2, w2, r2 = twos[y]
-            if b1 == b2 or g.weights_equal(w1, w2):
-                continue
-            if w1 < w2:
-                yield r2, r1, w2
-            else:
-                yield r1, r2, w1
-
-
-def _is_claw(g: SimilarityGraph, apex: int, leaves: tuple[int, int, int],
-             leg) -> bool:
-    """Every leg ties ``leg``; every leaf pair is lighter beyond a tie."""
-    eq = g.weights_equal
-    a, b, c = leaves
-    return (all(eq(g.weight(apex, x), leg) for x in leaves)
-            and all(w < leg and not eq(w, leg)
-                    for w in (g.weight(a, b), g.weight(a, c), g.weight(b, c))))
+        x, a, ys = apex[s], u[s], v[s:e]
+        L = W[x, a]
+        pair = W[np.ix_(ys, ys)]
+        ok = (pair < L) & ~tie(pair, L) & (lab[ys][:, None] != lab[ys])
+        hit = np.flatnonzero(np.triu(ok, 1))
+        if hit.size:
+            b, c = ys[list(divmod(int(hit[0]), len(ys)))].tolist()
+            return Claw(apex=int(x), leaves=(int(a), b, c), leg_weight=L.item())
+    return None
 
 
 # ---------------------------------------------------------------------------

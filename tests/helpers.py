@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from hcratio import (
     Bipartition,
-    ClusterLabelSet,
+    Claw,
     DuplicateEdge,
     HcTree,
     Partition,
@@ -40,7 +40,6 @@ from hcratio.cost import ratio_of
 from hcratio.detect import (
     _UnionFind,
     _block_labels,
-    _claw_from_labels,
     _crossing_type2,
 )
 from hcratio.graph import _parse_weight
@@ -377,34 +376,23 @@ def oracle_crossing_type2(g, p):
 
 
 def oracle_detect_claw(g, p):
-    """First claw over four blocks in (i, j) pair order, labels per triplet."""
+    """First claw in ascending (apex, leaves) order, one quadruple at a time.
+
+    Four vertices in four blocks; every leg ties the leg to the smallest
+    leaf, and every leaf pair is lighter than it beyond a tie.
+    """
     bof = p.block_of
-    n = g.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            bi, bj = bof[i], bof[j]
-            if bi == bj:
+    eq = g.weights_equal
+    for x in range(g.n):
+        others = [v for v in range(g.n) if v != x]
+        for leaves in combinations(others, 3):
+            if len({bof[x], *(bof[v] for v in leaves)}) < 4:
                 continue
-            labels = {}
-            for r in range(n):
-                br = bof[r]
-                if br == bi or br == bj:
-                    continue
-                tt = triplet_type(g, i, j, r)
-                if tt.is_type1:
-                    continue
-                ls = labels.setdefault(br, ClusterLabelSet())
-                if tt.is_type3:
-                    if ls.label0 is None:
-                        ls.label0 = r
-                elif tt.apex == r:
-                    ls.label2.setdefault(g.weight(r, i), r)
-                else:
-                    if ls.label1 is None:
-                        ls.label1 = r
-            claw = _claw_from_labels(g, i, j, labels)
-            if claw is not None:
-                return claw
+            leg = g.weight(x, leaves[0])
+            if (all(eq(g.weight(x, v), leg) for v in leaves)
+                    and all(g.weight(a, b) < leg and not eq(g.weight(a, b), leg)
+                            for a, b in combinations(leaves, 2))):
+                return Claw(apex=x, leaves=leaves, leg_weight=leg)
     return None
 
 

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import combinations
 from unittest import mock
@@ -284,23 +285,50 @@ def test_claw_scan_agrees_with_definition():
     usable = 0
     for _ in range(300):
         n = int(rng.integers(4, 9))
-        g = sparse_graph(rng, n)
-        p = minimal_valid_partition(g)
-        if p is None or len(p) < 4:
-            continue
-        usable += 1
-        c = detect_claw(g, p)
-        if c is None:
-            assert not exhaustive_claw_exists(g, p)
-        else:
-            assert is_valid_claw(g, p, c)
-            assert exhaustive_claw_exists(g, p)
+        W = sparse_graph(rng, n).weights
+        blocks = rng.integers(0, n, size=n)
+        arbitrary = Partition([np.flatnonzero(blocks == b).tolist()
+                               for b in np.unique(blocks)])
+        for eps in (0, 1):
+            g = graph_from(W, epsilon=eps)
+            p = minimal_valid_partition(g)
+            minimal = p is not None and len(p) >= 4
+            usable += minimal and eps == 0
+            for part in (p, arbitrary) if minimal else (arbitrary,):
+                c = detect_claw(g, part)
+                assert (c is None) == (not exhaustive_claw_exists(g, part))
+                assert c is None or is_valid_claw(g, part, c)
     assert usable >= 20
+
+
+def test_claw_whose_leaves_form_a_type1_triplet():
+    # apex 0 ties every leaf at 2 over lighter leaf pairs 0, 1, 0, yet the
+    # leaves form a Type-1 triplet with maximum (1, 3); a scan that needs
+    # the third leaf to witness a leaf pair beyond Type-1 misses this claw
+    g = graph_from([[0, 2, 2, 2],
+                    [2, 0, 0, 1],
+                    [2, 0, 0, 0],
+                    [2, 1, 0, 0]])
+    singletons = Partition([[v] for v in range(4)])
+    assert detect_claw(g, singletons) == Claw(apex=0, leaves=(1, 2, 3),
+                                              leg_weight=2)
+
+
+def test_claw_search_is_fast():
+    # vertices on a circle, weight 1 within distance k: no three leaves
+    # within k of an apex lie more than k apart, so there is no claw
+    n, k = 200, 30
+    d = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    g = graph_from(((np.minimum(d, n - d) <= k) & (d > 0)).astype(np.int64))
+    singletons = Partition([[v] for v in range(n)])
+    start = time.perf_counter()
+    assert detect_claw(g, singletons) is None
+    assert time.perf_counter() - start < 2.0
 
 
 def test_no_claw_from_non_transitive_ties():
     # under epsilon 1 the leaves' mutual weight 0 ties the leg weight 1,
-    # so apex 3 over leaves 0, 1, 2 is no claw although each label matches
+    # so apex 3 over leaves 0, 1, 2 is no claw, though legs 1, 1, 2 tie
     g = graph_from([[0, 0, 0, 1],
                     [0, 0, 0, 1],
                     [0, 0, 0, 2],
@@ -309,13 +337,22 @@ def test_no_claw_from_non_transitive_ties():
     assert len(p) == 4
     assert detect_claw(g, p) is None
     assert not exhaustive_claw_exists(g, p)
-    # over singleton blocks the labels match apex 1 over leaves 0, 2, 3,
-    # whose leg to 0 weighs 0, not the leg weight 3
+    # over singleton blocks apex 1's legs to leaves 0, 2, 3 weigh 0, 3, 2:
+    # the leg to the smallest leaf ties neither other leg
     g = graph_from([[0, 0, 1, 1],
                     [0, 0, 3, 2],
                     [1, 3, 0, 1],
                     [1, 2, 1, 0]], epsilon=1)
     singletons = Partition([[v] for v in range(4)])
+    assert detect_claw(g, singletons) is None
+    assert not exhaustive_claw_exists(g, singletons)
+    # {0, 1, 2} is Type-2 under apex 0 (legs 2 and 3 tie, base 1 does not
+    # tie 3), but its base 1 ties the leg weight 2, so leaf pair (1, 2) is
+    # not light and apex 0 over leaves 1, 2, 3 is no claw
+    g = graph_from([[0, 2, 3, 2],
+                    [2, 0, 1, 0],
+                    [3, 1, 0, 0],
+                    [2, 0, 0, 0]], epsilon=1)
     assert detect_claw(g, singletons) is None
     assert not exhaustive_claw_exists(g, singletons)
 
