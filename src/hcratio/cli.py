@@ -19,7 +19,7 @@ from .approx import _delta_squared, approx_tree
 from .brute import optimal_ratio_bruteforce
 from .cost import cost_report, ratio_cost
 from .detect import build_bisection
-from .errors import HcratioError
+from .errors import HcratioError, InvalidParam
 from .graph import SimilarityGraph, load_graph
 from .randgraph import ErModel, PlantedModel, run_experiment
 from .tree import parse_newick, serialize_newick
@@ -236,6 +236,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ns.jobs = getattr(ns, "jobs", 1)
     ns.records = getattr(ns, "records", False)
     try:
+        if ns.jobs < 1:
+            raise InvalidParam(f"need --jobs >= 1, got {ns.jobs}")
         return ns.fn(ns)
     except HcratioError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -46,4 +46,4 @@ class TooLarge(HcratioError):
 
 
 class InvalidParam(HcratioError):
-    """Random-model parameter out of range (probability, trials, ...)."""
+    """Parameter out of range (probability, trials, jobs, ...)."""

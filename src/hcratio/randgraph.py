@@ -19,7 +19,7 @@ from typing import Union
 import numpy as np
 
 from .errors import InvalidParam
-from .graph import SimilarityGraph, base_cost
+from .graph import SimilarityGraph, _wedges_triangles, base_cost
 
 Value = Union[int, float]
 
@@ -134,8 +134,9 @@ def expected_base_cost(model: Union[ProbabilityMatrix, Model]) -> float:
     at most two probability patterns, each counted in closed form in
     Fraction arithmetic from the float parameters, and the sum is rounded
     to float once.  An arbitrary ProbabilityMatrix uses the identity
-    sum_i (s_i^2 - sum_j p_ij^2) / 2 - tr(P^3) / 6, with s the row sums,
-    in float arithmetic.
+    wedges - triangles = sum_i (s_i^2 - sum_j p_ij^2) / 2 - tr(P^3) / 6,
+    with s the row sums, in float arithmetic; integer ``base_cost`` applies
+    the same identity to each 0/1 weight level.
     """
     if isinstance(model, ErModel):
         p = Fraction(model.p)
@@ -145,11 +146,8 @@ def expected_base_cost(model: Union[ProbabilityMatrix, Model]) -> float:
         p, q = Fraction(model.p), Fraction(model.q)
         return float(2 * comb(h, 3) * _triplet_base(p, p, p)
                      + 2 * h * comb(h, 2) * _triplet_base(p, q, q))
-    p = model.p
-    s = p.sum(axis=1)
-    wedges = float((s * s - (p * p).sum(axis=1)).sum()) / 2.0
-    triangles = float(((p @ p) * p).sum()) / 6.0
-    return wedges - triangles
+    wedges2, triangles6 = _wedges_triangles(model.p)
+    return float(wedges2) / 2.0 - float(triangles6) / 6.0
 
 
 def expectation_tree_total_cost(model: Model) -> float:
@@ -204,6 +202,8 @@ def run_experiment(model: Model, trials: int, seed_base: int,
     """
     if trials < 1:
         raise InvalidParam(f"need trials >= 1, got {trials}")
+    if jobs < 1:
+        raise InvalidParam(f"need jobs >= 1, got {jobs}")
     P = model.probability_matrix()
     tree_total = expectation_tree_total_cost(model)
     seeds = tuple(seed_base + t for t in range(trials))

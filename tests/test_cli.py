@@ -228,6 +228,17 @@ def test_random_rejects_zero_trials(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_is_rejected(capsys, p4, jobs):
+    code, out, err = run(capsys, "--jobs", jobs, "random", "--er", "10", "0.5",
+                         "--trials", "2", "--seed", "0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "--jobs" in err
+    code, out, err = run(capsys, "detect", p4, "--jobs", jobs)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
 def test_missing_file_is_reported(capsys, tmp_path):
     code, _, err = run(capsys, "detect", str(tmp_path / "nope.txt"))
     assert code == 2

@@ -1,3 +1,6 @@
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,8 @@ from hcratio import (
     min_triplet_cost,
     triplet_type,
 )
+from hcratio import graph as graph_mod
+from hcratio.randgraph import gen_er, gen_planted
 
 from helpers import (
     clique_graph,
@@ -320,7 +325,8 @@ def test_base_cost_path():
 
 
 def test_base_cost_clique():
-    for n in range(3, 9):
+    # n = 2000 takes the level kernel, whose sums pass float32's 2^24
+    for n in [*range(3, 9), 2000]:
         expected = 2 * (n * (n - 1) * (n - 2) // 6)
         assert base_cost(clique_graph(n)) == expected
 
@@ -375,3 +381,105 @@ def test_base_cost_invariant_under_relabeling(n, seed):
     perm = rng.permutation(n)
     W2 = g.weights[np.ix_(perm, perm)]
     assert base_cost(g) == base_cost(graph_from(W2))
+
+
+# -- integer base-cost kernels: rank count vs weight levels ---------------------
+
+@contextmanager
+def _kernel(name):
+    """Send every integer graph with n >= 3 to one base-cost kernel."""
+    if name == "rank":
+        limits = {"_LEVEL_KERNEL_MAX_LEVELS": -1}
+    else:
+        limits = {"_LEVEL_KERNEL_MIN_N": 0, "_LEVEL_KERNEL_MAX_LEVELS": 2**62}
+    with mock.patch.multiple(graph_mod, **limits):
+        yield
+
+
+def _both_kernels(g):
+    with _kernel("rank"):
+        rank = base_cost(g)
+    with _kernel("level"):
+        level = base_cost(g)
+    assert type(rank) is int and type(level) is int
+    return rank, level
+
+
+@st.composite
+def few_level_graphs(draw):
+    """Integer graphs on 0..40 vertices with 0..5 distinct positive weights,
+    with or without zero weights."""
+    n = draw(st.integers(0, 40))
+    levels = draw(st.lists(st.integers(1, 10**6), max_size=5, unique=True))
+    if not levels or draw(st.booleans()):
+        levels.append(0)
+    pairs = n * (n - 1) // 2
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    W = np.zeros((n, n), dtype=np.int64)
+    W[np.triu_indices(n, 1)] = rng.choice(levels, size=pairs)
+    return W + W.T
+
+
+@given(few_level_graphs())
+@settings(max_examples=120, deadline=None)
+def test_base_cost_kernels_match_loop_oracle(W):
+    rank, level = _both_kernels(graph_from(W))
+    assert rank == level == oracle_base(W)
+
+
+@pytest.mark.parametrize("zeros", [True, False])
+@pytest.mark.parametrize("n", [3, 17, 40, 90])
+def test_base_cost_kernels_exact_at_int64_bound(n, zeros):
+    # the largest level the loader accepts: max weight x n^3 < 2^63
+    top = (2**63 - 1) // n**3
+    rng = np.random.default_rng(n)
+    W = np.zeros((n, n), dtype=np.int64)
+    choices = [0, 1, top] if zeros else [1, top]
+    W[np.triu_indices(n, 1)] = rng.choice(choices, size=n * (n - 1) // 2)
+    g = graph_from(W + W.T)
+    rank, level = _both_kernels(g)
+    assert rank == level
+    if n <= 40:
+        assert rank == oracle_base(g.weights)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 8, 63, 64, 100])
+def test_base_cost_kernels_on_all_zero_graphs(n):
+    g = graph_from(np.zeros((n, n), dtype=np.int64))
+    assert _both_kernels(g) == (0, 0)
+    assert base_cost(g) == 0
+
+
+@pytest.mark.parametrize("sample", [
+    lambda: gen_er(400, 0.5, 1),
+    lambda: gen_er(400, 0.1, 2),
+    lambda: gen_er(400, 0.9, 4),  # level sums past float32's 2^24
+    lambda: gen_planted(400, 0.8, 0.2, 3),
+])
+def test_base_cost_kernels_agree_on_random_graphs(sample):
+    g = sample()
+    rank, level = _both_kernels(g)
+    assert rank == level == base_cost(g)
+
+
+def _takes_level_kernel(W):
+    with mock.patch.object(graph_mod, "_level_base_cost",
+                           wraps=graph_mod._level_base_cost) as spy:
+        base_cost(graph_from(W))
+    return spy.called
+
+
+def test_base_cost_kernel_choice():
+    rng = np.random.default_rng(0)
+
+    def levels(n, count):
+        return random_int_graph(rng, n, wmax=count).weights
+
+    # tiny graphs and graphs with many levels keep the rank count
+    assert not _takes_level_kernel(levels(8, 1))
+    assert not _takes_level_kernel(levels(63, 1))
+    assert not _takes_level_kernel(levels(300, 40))
+    # few levels on 64 or more vertices take one matmul per level
+    assert _takes_level_kernel(levels(64, 1))
+    assert _takes_level_kernel(levels(400, 8))
+    assert _takes_level_kernel(np.zeros((64, 64), dtype=np.int64))

@@ -107,6 +107,24 @@ def test_expected_base_of_arbitrary_matrix_matches_oracle(n):
                                                   rel=1e-12, abs=1e-12)
 
 
+def test_expected_base_of_arbitrary_matrix_is_bit_identical():
+    # the expression expected_base_cost used before it shared its identity
+    # with the integer level kernel; the float result must not move a bit
+    def before(p):
+        s = p.sum(axis=1)
+        wedges = float((s * s - (p * p).sum(axis=1)).sum()) / 2.0
+        triangles = float(((p @ p) * p).sum()) / 6.0
+        return wedges - triangles
+
+    rng = np.random.default_rng(11)
+    for n in range(1, 61):
+        p = np.triu(rng.random((n, n)), 1)
+        if n % 3 == 0:
+            p *= rng.random((n, n)) < 0.5
+        P = ProbabilityMatrix(p + p.T)
+        assert expected_base_cost(P) == before(P.p)
+
+
 def test_expected_base_er_closed_form():
     for n, p in [(6, 0.5), (30, 0.2), (11, 1.0)]:
         want = math.comb(n, 3) * (2 * p**3 + 3 * p**2 * (1 - p))
@@ -192,6 +210,12 @@ def test_experiment_worker_count_is_invisible():
     a = run_experiment(model, trials=10, seed_base=7, jobs=1)
     b = run_experiment(model, trials=10, seed_base=7, jobs=8)
     assert a == b
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_experiment_rejects_jobs_below_one(jobs):
+    with pytest.raises(InvalidParam):
+        run_experiment(ErModel(10, 0.5), trials=2, seed_base=0, jobs=jobs)
 
 
 def test_experiment_sure_graph_has_unit_ratio():
