@@ -3,10 +3,11 @@
 Core objects: `SimilarityGraph` and `HcTree`, the cost functions relating
 them, exact detection of graphs that cluster perfectly, a constraint-based
 approximation for near-perfect graphs, an exact small-n oracle, and
-random-graph experiments.
+random-graph experiments.  Stage internals stay in `hcratio.detect` and
+`hcratio.approx`.
 """
 
-from .approx import RootedTripletConstraint, approx_tree, build_constraints, rtc_build
+from .approx import approx_tree
 from .brute import Optimum, enumerate_trees, optimal_ratio_bruteforce
 from .cost import (
     CostReport,
@@ -18,19 +19,7 @@ from .cost import (
     total_cost,
     triplet_cost,
 )
-from .detect import (
-    Bipartition,
-    Claw,
-    DetectionResult,
-    Partition,
-    build_bisection,
-    case1_bipartition,
-    case2_bipartition,
-    detect_claw,
-    minimal_valid_partition,
-    valid_bisect,
-    zero_base_cost_tree,
-)
+from .detect import DetectionResult, build_bisection
 from .errors import (
     DuplicateEdge,
     HcratioError,
@@ -83,10 +72,7 @@ __all__ = [
     "HcTree", "TripletRelation", "binarize", "parse_newick", "serialize_newick",
     "CostReport", "cost_report", "dasgupta_cost", "find_inconsistent_triplet",
     "is_consistent", "ratio_cost", "total_cost", "triplet_cost",
-    "Partition", "Bipartition", "Claw", "DetectionResult",
-    "minimal_valid_partition", "detect_claw", "case1_bipartition",
-    "case2_bipartition", "valid_bisect", "build_bisection", "zero_base_cost_tree",
-    "RootedTripletConstraint", "build_constraints", "rtc_build", "approx_tree",
+    "DetectionResult", "build_bisection", "approx_tree",
     "Optimum", "enumerate_trees", "optimal_ratio_bruteforce",
     "ProbabilityMatrix", "ErModel", "PlantedModel", "ExperimentReport",
     "gen_er", "gen_planted", "expected_base_cost", "expectation_tree_total_cost",

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .detect import _UnionFind, _forced_links
+from .detect import _components, _forced_links
 from .errors import InvalidDelta
 from .graph import INT64_LIMIT, SimilarityGraph
 from .tree import HcTree, _split_top_down, binarize
@@ -58,6 +58,11 @@ def _delta_squared(delta) -> Fraction:
             raise InvalidDelta(f"cannot interpret delta {delta!r}") from None
     if d < 1:
         raise InvalidDelta(f"delta must be >= 1, got {delta}")
+    try:
+        float(d * d)  # the float rule and the printed bound need it
+    except OverflowError:
+        raise InvalidDelta(f"delta {delta} is too large: its square "
+                           "overflows a float") from None
     return d * d
 
 
@@ -123,10 +128,9 @@ def rtc_build(constraints, n: int) -> Optional[HcTree]:
     def split(verts):
         local = {v: x for x, v in enumerate(verts)}
         mine = inside.pop(verts)
-        uf = _UnionFind(len(verts))
-        for a, b in {c.pair for c in mine}:
-            uf.union(local[a], local[b])
-        groups = uf.groups()
+        pairs = {c.pair for c in mine}
+        groups = _components(len(verts), [local[a] for a, _ in pairs],
+                             [local[b] for _, b in pairs])
         if len(groups) == 1:
             return None
         parts = [tuple(verts[x] for x in grp) for grp in groups]
@@ -157,11 +161,8 @@ def approx_tree(g: SimilarityGraph, delta) -> Optional[HcTree]:
     W, forced = _forcing_rule(g, delta)
 
     def split(verts):
-        u, v = _forced_links(W[np.ix_(verts, verts)], forced)
-        uf = _UnionFind(len(verts))
-        for a, b in zip(u.tolist(), v.tolist()):
-            uf.union(a, b)
-        groups = uf.groups()
+        groups = _components(len(verts),
+                             *_forced_links(W[np.ix_(verts, verts)], forced))
         if len(groups) == 1:
             return None
         return [tuple(verts[x] for x in grp) for grp in groups]

@@ -22,6 +22,7 @@ one, and the search costs each chunk in a single vectorized pass.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Union
@@ -30,7 +31,7 @@ import numpy as np
 
 from .cost import ratio_of
 from .errors import TooLarge
-from .graph import SimilarityGraph, base_cost
+from .graph import SimilarityGraph, _triplet_rows, base_cost
 from .tree import HcTree
 
 HARD_CAP = 10  # (2n-3)!! trees: 34,459,425 at n = 10
@@ -218,15 +219,15 @@ def _optimal_total(g: SimilarityGraph):
 
 
 def _prefix_bases(W: np.ndarray) -> list:
-    """Base cost of the subgraph on vertices 0..m-1, for m = 0..n."""
+    """Base cost of the subgraph on vertices 0..m-1, for m = 0..n.
+
+    Each triplet counts towards every prefix holding its last vertex k.
+    """
     n = len(W)
-    out = [0] * (n + 1)
-    for k in range(2, n):
-        i, j = np.triu_indices(k, 1)
-        x, y, z = W[i, j], W[i, k], W[j, k]
-        low = x + y + z - np.maximum(np.maximum(x, y), z)
-        out[k + 1] = out[k] + low.sum().item()
-    return out
+    S = np.zeros((n, n), dtype=W.dtype)  # S[j, k]: sum over i of low(i, j, k)
+    for _, j, k, low in _triplet_rows(W):
+        S[j, k] += low
+    return [0] + list(itertools.accumulate(S.sum(axis=0).tolist()))
 
 
 def optimal_ratio_bruteforce(g: SimilarityGraph, cap: int = HARD_CAP) -> Optimum:

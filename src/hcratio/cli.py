@@ -19,7 +19,7 @@ from .approx import _delta_squared, approx_tree
 from .brute import optimal_ratio_bruteforce
 from .cost import cost_report, ratio_cost
 from .detect import build_bisection
-from .errors import HcratioError, InvalidParam
+from .errors import HcratioError, InvalidParam, ParseError
 from .graph import SimilarityGraph, load_graph
 from .randgraph import ErModel, PlantedModel, run_experiment
 from .tree import parse_newick, serialize_newick
@@ -49,15 +49,29 @@ def _ratio_decimal(r) -> str:
     return _fmt(float(r)) if not (isinstance(r, float) and isinf(r)) else "inf"
 
 
-def _load_graph(path: str, epsilon: float) -> SimilarityGraph:
+def _read(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
-        return load_graph(fh.read(), epsilon=epsilon)
+        try:
+            return fh.read()
+        except UnicodeDecodeError:
+            raise ParseError(f"{path}: not UTF-8 text") from None
+
+
+def _load_graph(path: str, epsilon: float) -> SimilarityGraph:
+    return load_graph(_read(path), epsilon=epsilon)
+
+
+def _param(name: str, text: str, kind=float):
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise InvalidParam(f"{name} must be {what}, got {text!r}") from None
 
 
 def cmd_cost(ns) -> int:
     g = _load_graph(ns.graph, ns.epsilon)
-    with open(ns.tree, encoding="utf-8") as fh:
-        t = parse_newick(fh.read(), labels=g.labels)
+    t = parse_newick(_read(ns.tree), labels=g.labels)
     rep = cost_report(g, t)
     if ns.records:
         print(f"dasgupta\t{_fmt(rep.dasgupta)}")
@@ -141,11 +155,12 @@ def cmd_brute(ns) -> int:
 def cmd_random(ns) -> int:
     if ns.er is not None:
         n, p = ns.er
-        model = ErModel(n=int(n), p=float(p))
+        model = ErModel(n=_param("N", n, int), p=_param("P", p))
         params = [("model", "er"), ("n", _fmt(model.n)), ("p", _fmt(model.p))]
     else:
         n, p, q = ns.planted
-        model = PlantedModel(n=int(n), p=float(p), q=float(q))
+        model = PlantedModel(n=_param("N", n, int), p=_param("P", p),
+                             q=_param("Q", q))
         params = [("model", "planted"), ("n", _fmt(model.n)),
                   ("p", _fmt(model.p)), ("q", _fmt(model.q))]
     report = run_experiment(model, trials=ns.trials, seed_base=ns.seed,

@@ -21,7 +21,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import LeafMismatch
-from .graph import SimilarityGraph, base_cost, _check_triplet
+from .graph import SimilarityGraph, _check_triplet, _triplet_rows, base_cost
 from .tree import HcTree
 
 Value = Union[int, float]
@@ -108,15 +108,9 @@ def find_inconsistent_triplet(
     """
     W = g.weights
     M = _lca_counts(g, t) if lca is None else lca
-    n = g.n
-    for i in range(n - 2):
-        idx = np.arange(i + 1, n)
-        wj = W[i, idx]
-        mj = M[i, idx]
-        w_ij, w_ik = wj[:, None], wj[None, :]
-        m_ij, m_ik = mj[:, None], mj[None, :]
-        w_jk = W[np.ix_(idx, idx)]
-        m_jk = M[np.ix_(idx, idx)]
+    for i, j, k, low in _triplet_rows(W):
+        w_ij, w_ik, w_jk = W[i, j], W[i, k], W[j, k]
+        m_ij, m_ik, m_jk = M[i, j], M[i, k], M[j, k]
         # exactly one LCA is strictly lowest (pair merged first), or all tie
         pair_ij = (m_ij < m_ik) & (m_ij < m_jk)
         pair_ik = (m_ik < m_ij) & (m_ik < m_jk)
@@ -125,13 +119,9 @@ def find_inconsistent_triplet(
                np.where(pair_ik, w_ij + w_jk,
                np.where(pair_jk, w_ij + w_ik,
                         w_ij + w_ik + w_jk)))
-        low = w_ij + w_ik + w_jk - np.maximum(np.maximum(w_ij, w_ik), w_jk)
-        bad = cost != low
-        m = len(idx)
-        bad[np.tril_indices(m)] = False
-        if bad.any():
-            flat = int(np.argmax(bad))  # row-major => lexicographic (j, k)
-            return (i, int(idx[flat // m]), int(idx[flat % m]))
+        bad = np.flatnonzero(cost != low)
+        if bad.size:  # rows list (j, k) lexicographically
+            return (i, int(j[bad[0]]), int(k[bad[0]]))
     return None
 
 

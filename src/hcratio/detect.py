@@ -205,37 +205,27 @@ def _type2_triplets(g: SimilarityGraph):
 # stage 1: minimal merge partition
 
 
-class _UnionFind:
-    __slots__ = ("parent", "size")
+def _components(m: int, u, v) -> list[list[int]]:
+    """Groups of positions 0..m-1 joined by the links (u[t], v[t]).
 
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
+    Members ascending; groups ordered by smallest member.  A union-find with
+    path halving, on Python ints.
+    """
+    parent = list(range(m))
 
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:  # path compression
-            self.parent[x], x = root, self.parent[x]
-        return root
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
 
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return True
-
-    def groups(self) -> list[list[int]]:
-        """Members of each set, ascending; sets ordered by smallest member."""
-        out: dict[int, list[int]] = {}
-        for x in range(len(self.parent)):
-            out.setdefault(self.find(x), []).append(x)
-        return list(out.values())
+    for a, b in zip(np.asarray(u).tolist(), np.asarray(v).tolist()):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    out: dict[int, list[int]] = {}
+    for x in range(m):
+        out.setdefault(find(x), []).append(x)
+    return list(out.values())
 
 
 def minimal_valid_partition(g: SimilarityGraph) -> Optional[Partition]:
@@ -260,22 +250,22 @@ def minimal_valid_partition(g: SimilarityGraph) -> Optional[Partition]:
     if n < 2:
         raise ValueError("need at least 2 vertices")
     tie = _tie(g)
-    uf = _UnionFind(n)
-    for x, y in zip(*(a.tolist() for a in _forced_links(
-            g.weights, lambda w, mx: _heaviest(w, mx, mx, tie)))):
-        uf.union(x, y)
+    groups = _components(n, *_forced_links(
+        g.weights, lambda w, mx: _heaviest(w, mx, mx, tie)))
 
     type2 = _type2_triplets(g)
     apex, u, v = type2
-    while True:
-        root = np.array([uf.find(x) for x in range(n)])
-        hit = (root[u] == root[v]) & (root[apex] != root[u])
+    while len(groups) > 1:
+        first = np.empty(n, dtype=np.intp)  # smallest member of each block
+        for grp in groups:
+            first[grp] = grp[0]
+        hit = (first[u] == first[v]) & (first[apex] != first[u])
         if not hit.any():
             break
-        for x, y in zip(apex[hit].tolist(), u[hit].tolist()):
-            uf.union(x, y)
+        # the blocks so far, as links to their first members, and the merges
+        groups = _components(n, np.concatenate([np.arange(n), apex[hit]]),
+                             np.concatenate([first, u[hit]]))
 
-    groups = uf.groups()
     if len(groups) == 1:
         return None
     p = Partition(groups)

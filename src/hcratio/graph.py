@@ -225,22 +225,33 @@ def base_cost(g: SimilarityGraph):
     process pages in BLAS code, so tiny graphs stay on the rank count, as do
     graphs with many levels such as ultrametrics.
 
-    Float weights run a per-row loop over the trailing submatrix instead; its
-    fixed summation order keeps float results reproducible to the bit.
+    Float weights sum the rows of ``_triplet_rows`` instead, one numpy sum
+    per row added in row order; that fixed order keeps float results
+    reproducible to the bit.
     """
     if g.integral:
         return _integer_base_cost(g)
-    W = g.weights
-    n = g.n
     total = 0.0
-    for i in range(n - 2):
-        row = W[i, i + 1:]
-        sub = W[i + 1:, i + 1:]
-        three = row[:, None] + row[None, :] + sub
-        high = np.maximum(np.maximum(row[:, None], row[None, :]), sub)
-        iu = np.triu_indices(row.shape[0], 1)
-        total += (three[iu] - high[iu]).sum().item()
+    for _, _, _, low in _triplet_rows(g.weights):
+        total += low.sum().item()
     return total
+
+
+def _triplet_rows(W: np.ndarray):
+    """``(i, j, k, low)`` per first vertex i of the triplets i < j < k.
+
+    j, k are index arrays in lexicographic order, and low = a + b + c -
+    max(max(a, b), c), with a, b, c = W[i,j], W[i,k], W[j,k], is each
+    triplet's least cost, the sum of its two smallest weights.  A fixed
+    expression and order keep float sums over ``low`` reproducible.
+    """
+    n = len(W)
+    for i in range(n - 2):
+        j, k = np.triu_indices(n - 1 - i, 1)
+        j += i + 1
+        k += i + 1
+        a, b, c = W[i, j], W[i, k], W[j, k]
+        yield i, j, k, a + b + c - np.maximum(np.maximum(a, b), c)
 
 
 # Integer graphs on at least this many vertices with at most this many

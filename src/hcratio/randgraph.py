@@ -204,6 +204,8 @@ def run_experiment(model: Model, trials: int, seed_base: int,
         raise InvalidParam(f"need trials >= 1, got {trials}")
     if jobs < 1:
         raise InvalidParam(f"need jobs >= 1, got {jobs}")
+    if seed_base < 0:
+        raise InvalidParam(f"need seed >= 0, got {seed_base}")
     P = model.probability_matrix()
     tree_total = expectation_tree_total_cost(model)
     seeds = tuple(seed_base + t for t in range(trials))

@@ -13,23 +13,16 @@ import numpy as np
 from hypothesis import strategies as st
 
 from hcratio import (
-    Bipartition,
-    Claw,
     DuplicateEdge,
     HcTree,
-    Partition,
     ParseError,
-    RootedTripletConstraint,
     SelfLoop,
     SimilarityGraph,
     base_cost,
     build_bisection,
-    case2_bipartition,
-    detect_claw,
-    minimal_valid_partition,
     triplet_type,
 )
-from hcratio.approx import _delta_squared
+from hcratio.approx import RootedTripletConstraint, _delta_squared
 from hcratio.brute import (
     Optimum,
     _double_factorial,
@@ -38,9 +31,14 @@ from hcratio.brute import (
 )
 from hcratio.cost import ratio_of
 from hcratio.detect import (
-    _UnionFind,
+    Bipartition,
+    Claw,
+    Partition,
     _block_labels,
     _crossing_type2,
+    case2_bipartition,
+    detect_claw,
+    minimal_valid_partition,
 )
 from hcratio.graph import _parse_weight
 
@@ -110,6 +108,22 @@ def random_nested(rng, n):
         a = parts.pop(i)
         parts.append((a, b))
     return parts[0]
+
+
+def ultrametric(rng, n):
+    """Integer weights n - |LCA cluster| over a random binary tree.
+
+    The weight matrix of a perfect graph.
+    """
+    W = np.zeros((n, n), dtype=np.int64)
+    stack = [random_nested(rng, n)] if n else []
+    while stack:
+        node = stack.pop()
+        if isinstance(node, tuple):
+            a, b = (sorted(leaves_of(c)) for c in node)
+            W[np.ix_(a, b)] = W[np.ix_(b, a)] = n - len(a) - len(b)
+            stack.extend(node)
+    return W
 
 
 def is_connected(g):
@@ -287,6 +301,25 @@ def oracle_base(W):
     return total
 
 
+def oracle_float_base(W):
+    """Float base cost summed row by row, each row's triplets in one numpy sum.
+
+    The summation order that keeps ``base_cost`` on float weights
+    reproducible to the bit: row i sums the triplets (i, j, k), j < k, in
+    lexicographic order, and the row sums are added in row order.
+    """
+    n = len(W)
+    total = 0.0
+    for i in range(n - 2):
+        row = W[i, i + 1:]
+        sub = W[i + 1:, i + 1:]
+        three = row[:, None] + row[None, :] + sub
+        high = np.maximum(np.maximum(row[:, None], row[None, :]), sub)
+        iu = np.triu_indices(row.shape[0], 1)
+        total += (three[iu] - high[iu]).sum().item()
+    return total
+
+
 def oracle_min_triplet(W, i, j, k):
     ws = sorted((W[i][j], W[i][k], W[j][k]))
     return ws[0] + ws[1]
@@ -333,12 +366,21 @@ def tie_heavy_graphs(draw, n_min=3, n_max=10):
 def oracle_minimal_valid_partition(g):
     """The minimal merge partition, or None when it is a single block."""
     n = g.n
-    uf = _UnionFind(n)
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        parent[find(x)] = find(y)
+
     type2 = []  # (apex, base u, base v)
     for i, j, k in combinations(range(n), 3):
         tt = triplet_type(g, i, j, k)
         if tt.is_type1:
-            uf.union(*tt.max_pair)
+            union(*tt.max_pair)
         elif tt.is_type2:
             u, v = (x for x in (i, j, k) if x != tt.apex)
             type2.append((tt.apex, u, v))
@@ -347,14 +389,13 @@ def oracle_minimal_valid_partition(g):
     while changed:
         changed = False
         for apex, u, v in type2:
-            ru, rv = uf.find(u), uf.find(v)
-            if ru == rv and uf.find(apex) != ru:
-                uf.union(apex, u)
+            if find(u) == find(v) != find(apex):
+                union(apex, u)
                 changed = True
 
     groups = {}
     for v in range(n):
-        groups.setdefault(uf.find(v), []).append(v)
+        groups.setdefault(find(v), []).append(v)
     if len(groups) == 1:
         return None
     return Partition(groups.values())

@@ -9,25 +9,22 @@ from hypothesis import strategies as st
 
 from hcratio import (
     InvalidDelta,
-    RootedTripletConstraint,
     approx_tree,
     binarize,
     build_bisection,
-    build_constraints,
     optimal_ratio_bruteforce,
     ratio_cost,
-    rtc_build,
 )
+from hcratio.approx import RootedTripletConstraint, build_constraints, rtc_build
 
 from helpers import (
     graph_from,
-    leaves_of,
     oracle_build_constraints,
     path_graph,
     random_int_graph,
-    random_nested,
     star_graph,
     tie_heavy_graphs,
+    ultrametric,
 )
 
 
@@ -45,6 +42,13 @@ def test_delta_below_one_or_garbage_rejected(bad):
     g = path_graph(3)
     with pytest.raises(InvalidDelta):
         build_constraints(g, bad)
+
+
+def test_delta_whose_square_overflows_a_float_is_rejected():
+    for g in (path_graph(3), graph_from([[0, 0.5], [0.5, 0]])):
+        with pytest.raises(InvalidDelta, match="overflows a float"):
+            approx_tree(g, "1e200")
+    assert approx_tree(path_graph(3), "1e150") is not None
 
 
 def test_emission_by_hand():
@@ -236,21 +240,8 @@ def test_approx_tree_exact_at_the_int64_weight_bound(n, seed):
     assert nested_or_none(approx_tree(g, 1.0001)) == constraint_tree(g, 1.0001)
 
 
-def perfect_graph(rng, n):
-    """Weights n - |LCA cluster| over a random binary tree: a perfect graph."""
-    W = np.zeros((n, n), dtype=np.int64)
-    stack = [random_nested(rng, n)]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, tuple):
-            a, b = (sorted(leaves_of(c)) for c in node)
-            W[np.ix_(a, b)] = W[np.ix_(b, a)] = n - len(a) - len(b)
-            stack.extend(node)
-    return graph_from(W)
-
-
 def test_approx_n150_is_fast():
-    g = perfect_graph(np.random.default_rng(150), 150)
+    g = graph_from(ultrametric(np.random.default_rng(150), 150))
     start = time.perf_counter()
     t = approx_tree(g, 1.2)
     assert time.perf_counter() - start < 1.0

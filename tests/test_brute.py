@@ -2,7 +2,6 @@ import math
 import time
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -17,7 +16,12 @@ from hcratio import (
     optimal_ratio_bruteforce,
     ratio_cost,
 )
-from hcratio.brute import _nested_from_masks, _optimal_total, _search_order
+from hcratio.brute import (
+    _nested_from_masks,
+    _optimal_total,
+    _prefix_bases,
+    _search_order,
+)
 
 from helpers import (
     clique_graph,
@@ -26,12 +30,11 @@ from helpers import (
     oracle_bruteforce,
     oracle_enumerate_trees,
     oracle_nested_from_masks,
-    pair_cluster_size,
     path_graph,
     random_int_graph,
-    random_nested,
     star_graph,
     tie_heavy_graphs,
+    ultrametric,
 )
 
 
@@ -215,15 +218,6 @@ def test_known_star_and_clique_values():
 
 # -- pruned search against the unpruned oracle --------------------------------
 
-def ultrametric(rng, n):
-    """Integer weights n - |LCA(i, j)| of a random tree: a perfect graph."""
-    nested = random_nested(rng, n)
-    W = np.zeros((n, n), dtype=np.int64)
-    for i, j in combinations(range(n), 2):
-        W[i, j] = W[j, i] = n - pair_cluster_size(nested, i, j)
-    return W
-
-
 @st.composite
 def ultrametric_graphs(draw):
     """x0.1 float copies of perfect graphs, and perturbed ultrametrics."""
@@ -258,6 +252,15 @@ def test_pruned_search_matches_unpruned_oracle(g):
         assert dp == least
     else:
         assert math.isclose(dp, least, rel_tol=1e-9, abs_tol=1e-12)
+
+
+def test_prefix_bases_are_base_costs_of_prefixes():
+    rng = np.random.default_rng(23)
+    for n in range(11):
+        for g in (random_int_graph(rng, n, wmax=5),
+                  graph_from(ultrametric(rng, n))):
+            assert _prefix_bases(g.weights) == [
+                base_cost(g.induced(range(m))) for m in range(n + 1)]
 
 
 def test_first_argmin_beyond_first_chunk():

@@ -149,6 +149,13 @@ def test_approx_bad_delta(capsys, p4):
     assert err.startswith("error:")
 
 
+def test_approx_delta_whose_square_overflows(capsys, p4):
+    code, out, err = run(capsys, "approx", p4, "--delta", "1e200")
+    assert (code, out) == (2, "")
+    assert err == ("error: delta 1e200 is too large: its square overflows "
+                   "a float\n")
+
+
 def test_brute_text(capsys, p5):
     code, out, _ = run(capsys, "brute", p5)
     assert code == 0
@@ -222,6 +229,18 @@ def test_random_rejects_odd_planted(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--er", "10", "abc"], "error: P must be a number, got 'abc'\n"),
+    (["--er", "10.5", "0.5"], "error: N must be an integer, got '10.5'\n"),
+    (["--planted", "10", "0.5", "x"], "error: Q must be a number, got 'x'\n"),
+    (["--er", "10", "0.5", "--seed", "-1"], "error: need seed >= 0, got -1\n"),
+])
+def test_random_rejects_bad_parameters(capsys, args, message):
+    code, out, err = run(capsys, "random", "--trials", "1", "--seed", "0",
+                         *args)
+    assert (code, out, err) == (2, "", message)
+
+
 def test_random_rejects_zero_trials(capsys):
     code, _, err = run(capsys, "random", "--er", "10", "0.5",
                        "--trials", "0", "--seed", "0")
@@ -251,6 +270,17 @@ def test_malformed_graph_is_reported(capsys, tmp_path):
     code, _, err = run(capsys, "detect", str(g))
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_non_utf8_files_are_reported(capsys, p4, tmp_path):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("0 1 1\n1 2 1\n# caf\xe9\n".encode("latin-1"))
+    code, out, err = run(capsys, "detect", str(bad))
+    assert (code, out) == (2, "")
+    assert err == f"error: {bad}: not UTF-8 text\n"
+    code, out, err = run(capsys, "cost", p4, str(bad))
+    assert (code, out) == (2, "")
+    assert err == f"error: {bad}: not UTF-8 text\n"
 
 
 @pytest.mark.parametrize("command", ["detect", "brute"])

@@ -9,28 +9,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hcratio import (
-    Bipartition,
-    Claw,
     NotZeroBase,
-    Partition,
     SimilarityGraph,
     base_cost,
     build_bisection,
-    case1_bipartition,
-    case2_bipartition,
     cost_report,
-    detect_claw,
     is_consistent,
-    minimal_valid_partition,
     optimal_ratio_bruteforce,
     serialize_newick,
     total_cost,
     triplet_type,
+)
+from hcratio import detect
+from hcratio.detect import (
+    Bipartition,
+    Claw,
+    Partition,
+    _components,
+    _crossing_type2,
+    case1_bipartition,
+    case2_bipartition,
+    detect_claw,
+    minimal_valid_partition,
     valid_bisect,
     zero_base_cost_tree,
 )
-from hcratio import detect
-from hcratio.detect import _crossing_type2
 
 from helpers import (
     clique_graph,
@@ -172,6 +175,26 @@ def test_partition_matches_independent_closure():
             assert p is None
         else:
             assert [list(b) for b in p.blocks] == want
+
+
+def naive_components(m, links):
+    """Groups of 0..m-1: each link gives both ends' groups the lesser label."""
+    label = list(range(m))
+    for a, b in links:
+        ends = (label[a], label[b])
+        label = [min(ends) if lab in ends else lab for lab in label]
+    return [[x for x in range(m) if label[x] == r] for r in sorted(set(label))]
+
+
+def test_components_match_naive_relabelling():
+    rng = np.random.default_rng(31)
+    assert _components(1, [], []) == [[0]]
+    assert _components(3, np.array([], dtype=np.intp), []) == [[0], [1], [2]]
+    for _ in range(200):
+        m = int(rng.integers(1, 12))
+        links = rng.integers(0, m, size=(int(rng.integers(0, 2 * m)), 2))
+        got = _components(m, links[:, 0], links[:, 1])
+        assert got == naive_components(m, links.tolist())
 
 
 def test_partition_is_fixpoint():

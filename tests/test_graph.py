@@ -28,10 +28,12 @@ from helpers import (
     graph_from,
     linked_stars,
     oracle_base,
+    oracle_float_base,
     oracle_load_edge_list,
     oracle_load_matrix,
     path_graph,
     random_int_graph,
+    ultrametric,
 )
 
 
@@ -184,6 +186,16 @@ def with_fillers(draw, lines):
                      draw(st.sampled_from(FILLERS)))
     comment = st.sampled_from(["", "  # tail", "#x"])
     return "\n".join(ln + draw(comment) if ln.strip() else ln for ln in lines)
+
+
+def test_float_base_cost_keeps_its_summation_order_to_the_bit():
+    rng = np.random.default_rng(11)
+    off = 1 - np.eye(41)
+    for n in range(41):
+        U = ultrametric(rng, n).astype(np.float64)
+        R = np.triu(rng.random((n, n)), 1)
+        for W in (U * 0.1, (0.7 * U + 0.05) * off[:n, :n], R + R.T):
+            assert base_cost(graph_from(W)) == oracle_float_base(W)
 
 
 @st.composite
