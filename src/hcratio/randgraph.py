@@ -19,7 +19,7 @@ from typing import Union
 import numpy as np
 
 from .errors import InvalidParam
-from .graph import SimilarityGraph, _wedges_triangles, base_cost
+from .graph import INT64_LIMIT, SimilarityGraph, _wedges_triangles, base_cost
 
 Value = Union[int, float]
 
@@ -44,6 +44,12 @@ class ProbabilityMatrix:
         p.setflags(write=False)
 
 
+def _check_size(n: int) -> None:
+    # a unit-weight graph on n vertices needs n^3 < 2^63 (see SimilarityGraph)
+    if int(n) ** 3 >= INT64_LIMIT:
+        raise InvalidParam(f"n = {n} is too large: n^3 must stay below 2^63")
+
+
 def _check_prob(name: str, x: float) -> float:
     x = float(x)
     if not 0.0 <= x <= 1.0:
@@ -61,6 +67,7 @@ class ErModel:
     def __post_init__(self):
         if self.n < 1:
             raise InvalidParam(f"need n >= 1, got {self.n}")
+        _check_size(self.n)
         _check_prob("p", self.p)
 
     def probability_matrix(self) -> ProbabilityMatrix:
@@ -80,6 +87,7 @@ class PlantedModel:
     def __post_init__(self):
         if self.n < 2 or self.n % 2:
             raise InvalidParam(f"planted model needs even n >= 2, got {self.n}")
+        _check_size(self.n)
         _check_prob("p", self.p)
         _check_prob("q", self.q)
         if self.p <= self.q:

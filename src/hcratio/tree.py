@@ -9,7 +9,10 @@ not hit the interpreter recursion limit.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -62,21 +65,17 @@ class HcTree:
         self.vertices = tuple(sorted(self._node_of))
         self.n_leaves = len(self.vertices)
 
-        size = len(parent)
-        self._depth = [0] * size
-        self._leaf_count = [0] * size
-        order = self._topo_order()
-        for u in order:  # root-to-leaf
+        self._depth = [0] * len(parent)
+        for u in self._topo_order():  # root-to-leaf
             p = parent[u]
             self._depth[u] = 0 if p is None else self._depth[p] + 1
-        for u in reversed(order):
-            if leaf_vertex[u] is not None:
-                self._leaf_count[u] = 1
-            else:
-                kids = children[u]
-                if len(kids) < 2:
-                    raise LeafMismatch("internal node with fewer than 2 children")
-                self._leaf_count[u] = sum(self._leaf_count[c] for c in kids)
+
+        def count(kids):
+            if len(kids) < 2:
+                raise LeafMismatch("internal node with fewer than 2 children")
+            return sum(kids)
+
+        self._leaf_count = self._fold(lambda v: 1, count)
 
     def _topo_order(self):
         """Node ids ordered root first, children after parents (DFS)."""
@@ -88,6 +87,16 @@ class HcTree:
         if len(order) != len(self._parent):
             raise LeafMismatch("disconnected or cyclic node table")
         return order
+
+    def _fold(self, leaf, node) -> list:
+        """Per-node-id values, children first: ``leaf(vertex)`` at each leaf,
+        ``node([child values])`` at each internal node."""
+        out: list = [None] * len(self._parent)
+        for u in reversed(self._topo_order()):
+            v = self._leaf_vertex[u]
+            out[u] = leaf(v) if v is not None else \
+                node([out[c] for c in self._children[u]])
+        return out
 
     # -- construction ------------------------------------------------------
 
@@ -124,24 +133,13 @@ class HcTree:
 
     def _canonicalize(self) -> None:
         """Sort every child list by smallest descendant leaf id."""
-        min_leaf = [0] * len(self._parent)
-        for u in reversed(self._topo_order()):
-            if self._leaf_vertex[u] is not None:
-                min_leaf[u] = self._leaf_vertex[u]
-            else:
-                min_leaf[u] = min(min_leaf[c] for c in self._children[u])
-        for u, kids in enumerate(self._children):
-            kids.sort(key=lambda c: min_leaf[c])
+        min_leaf = self._fold(lambda v: v, min)
+        for kids in self._children:
+            kids.sort(key=min_leaf.__getitem__)
 
     def to_nested(self):
         """Inverse of from_nested (tuples; a lone leaf is a bare int)."""
-        out = {}
-        for u in reversed(self._topo_order()):
-            if self._leaf_vertex[u] is not None:
-                out[u] = self._leaf_vertex[u]
-            else:
-                out[u] = tuple(out[c] for c in self._children[u])
-        return out[self.root]
+        return self._fold(lambda v: v, tuple)[self.root]
 
     # -- queries -----------------------------------------------------------
 
@@ -194,20 +192,6 @@ class HcTree:
         pair, out = deepest[0]
         return TripletRelation.merged_first(pair[0], pair[1], out)
 
-    def leaf_lists(self) -> dict[int, list[int]]:
-        """Vertex ids under each node, as a dict node -> sorted list."""
-        out: dict[int, list[int]] = {}
-        for u in reversed(self._topo_order()):
-            if self._leaf_vertex[u] is not None:
-                out[u] = [self._leaf_vertex[u]]
-            else:
-                acc = []
-                for c in self._children[u]:
-                    acc.extend(out[c])
-                acc.sort()
-                out[u] = acc
-        return out
-
     def lca_leaf_counts(self) -> np.ndarray:
         """Matrix M with M[i, j] = leaf count under lca(i, j), for vertices 0..n-1.
 
@@ -218,17 +202,17 @@ class HcTree:
         if self.vertices != tuple(range(n)):
             raise LeafMismatch("lca_leaf_counts needs leaves 0..n-1")
         M = np.ones((n, n), dtype=np.int64)
-        lists = self.leaf_lists()
-        for u, kids in enumerate(self._children):
-            if len(kids) < 2:
-                continue
-            lc = self._leaf_count[u]
-            for ai in range(len(kids)):
-                for bi in range(ai + 1, len(kids)):
-                    xa = lists[kids[ai]]
-                    xb = lists[kids[bi]]
-                    M[np.ix_(xa, xb)] = lc
-                    M[np.ix_(xb, xa)] = lc
+
+        def blocks(lists):
+            # every pair split between two children has this node as its LCA
+            under = sorted(chain.from_iterable(lists))
+            for a, xa in enumerate(lists):
+                for xb in lists[a + 1:]:
+                    M[np.ix_(xa, xb)] = len(under)
+                    M[np.ix_(xb, xa)] = len(under)
+            return under
+
+        self._fold(lambda v: [v], blocks)
         return M
 
     # -- comparisons & display ----------------------------------------------
@@ -254,19 +238,8 @@ def binarize(t: HcTree) -> HcTree:
     pair-merged-first relation of the input is preserved; simultaneous
     triplets acquire a deterministic resolution.
     """
-    def fold(parts):
-        acc = parts[0]
-        for p in parts[1:]:
-            acc = (acc, p)
-        return acc
-
-    out = {}
-    for u in reversed(t._topo_order()):
-        if t.is_leaf(u):
-            out[u] = t._leaf_vertex[u]
-        else:
-            out[u] = fold([out[c] for c in t.children(u)])
-    return HcTree.from_nested(out[t.root])
+    nested = t._fold(lambda v: v, lambda parts: reduce(lambda a, b: (a, b), parts))
+    return HcTree.from_nested(nested[t.root])
 
 
 def _split_top_down(vertices, split):
@@ -279,7 +252,8 @@ def _split_top_down(vertices, split):
     that order.  Iterative, so deep splits do not hit the recursion limit.
     """
     sets = [tuple(vertices)]
-    kids: list = [None]
+    parent: list = [None]
+    children: list = [[]]
     stack = [0]
     while stack:
         i = stack.pop()
@@ -288,16 +262,15 @@ def _split_top_down(vertices, split):
         parts = split(sets[i])
         if parts is None:
             return None, sets[i]
-        kids[i] = range(len(sets), len(sets) + len(parts))
+        children[i] = list(range(len(sets), len(sets) + len(parts)))
         sets.extend(parts)
-        kids.extend([None] * len(parts))
-        stack.extend(kids[i])
-    # every child comes after its parent, so this runs bottom-up
-    nested: list = [None] * len(sets)
-    for i in reversed(range(len(sets))):
-        nested[i] = sets[i][0] if kids[i] is None else \
-            tuple(nested[c] for c in kids[i])
-    return HcTree.from_nested(nested[0]), None
+        parent.extend([i] * len(parts))
+        children.extend([] for _ in parts)
+        stack.extend(children[i])
+    leaf_vertex = [int(s[0]) if len(s) == 1 else None for s in sets]
+    tree = HcTree(parent, children, leaf_vertex, 0)
+    tree._canonicalize()
+    return tree, None
 
 
 _TOKEN = re.compile(r"\s*([(),;]|[^\s(),;:]+|:[^\s(),;]*)")
@@ -326,69 +299,50 @@ def parse_newick(text: str, labels: Optional[Sequence[str]] = None) -> HcTree:
     if not tokens:
         raise ParseError("empty tree text")
 
-    stack: list[list] = []
-    current: Optional[list] = None
-    result = None
-    i = 0
+    stack: list[list] = []  # open groups, innermost last
+    top: list = []  # the root, once it is complete
+    slots = []  # (group, position) of every leaf name
     expect_item = True
+    i = 0
     while i < len(tokens):
         tok = tokens[i]
-        if tok == "(":
-            node: list = []
-            if current is not None:
-                stack.append(current)
-            current = node
-            expect_item = True
-        elif tok == ",":
-            if current is None or expect_item:
+        if tok == ",":
+            if not stack or expect_item:
                 raise ParseError("misplaced ','")
             expect_item = True
         elif tok == ")":
-            if current is None or expect_item or len(current) < 2:
+            if not stack or expect_item or len(stack[-1]) < 2:
                 raise ParseError("malformed group before ')'")
-            closed = current
+            closed = stack.pop()
             # optional internal label directly after ')'
             if i + 1 < len(tokens) and tokens[i + 1] not in "(),;":
                 i += 1
-            if stack:
-                current = stack.pop()
-                current.append(closed)
-            else:
-                current = None
-                result = closed
+            (stack[-1] if stack else top).append(closed)
             expect_item = False
         elif tok == ";":
-            if current is not None or (result is None and expect_item):
+            if stack or not top:
                 raise ParseError("';' before tree is complete")
             if i + 1 != len(tokens):
                 raise ParseError("text after ';'")
             break
-        else:  # a name
+        else:  # '(' or a name: the next item of its group, or the root
             if not expect_item:
-                raise ParseError(f"unexpected name {tok!r}")
-            if current is None:
-                result = tok  # single-leaf tree "a;"
+                raise ParseError(f"missing ',' before {tok!r}" if stack else
+                                 f"unexpected {tok!r} after the root")
+            if tok == "(":
+                stack.append([])
             else:
-                current.append(tok)
-            expect_item = False
+                group = stack[-1] if stack else top
+                slots.append((group, len(group)))
+                group.append(tok)
+                expect_item = False
         i += 1
     else:
         raise ParseError("missing ';' terminator")
 
-    names: list[str] = []
-
-    def collect(shape):
-        todo = [shape]
-        while todo:
-            s = todo.pop()
-            if isinstance(s, str):
-                names.append(s)
-            else:
-                todo.extend(s)
-
-    collect(result)
-    if len(set(names)) != len(names):
-        dup = sorted({x for x in names if names.count(x) > 1})
+    names = [group[pos] for group, pos in slots]
+    dup = sorted(x for x, k in Counter(names).items() if k > 1)
+    if dup:
         raise LeafMismatch(f"duplicate leaf name(s): {', '.join(dup)}")
 
     if labels is not None:
@@ -403,37 +357,13 @@ def parse_newick(text: str, labels: Optional[Sequence[str]] = None) -> HcTree:
             ordered = sorted(names)
         index = {name: i for i, name in enumerate(ordered)}
 
-    return HcTree.from_nested(_to_ids(result, index))
-
-
-def _to_ids(shape, index):
-    """Map a nested name structure to vertex ids without deep recursion."""
-    if isinstance(shape, str):
-        return index[shape]
-    out = {}
-    work = [(shape, False)]
-    while work:  # iterative post-order over nested lists
-        node, done = work.pop()
-        if done:
-            out[id(node)] = tuple(out[id(c)] if not isinstance(c, str) else index[c]
-                                  for c in node)
-        else:
-            work.append((node, True))
-            for c in node:
-                if not isinstance(c, str):
-                    work.append((c, False))
-    return out[id(shape)]
+    for group, pos in slots:
+        group[pos] = index[group[pos]]
+    return HcTree.from_nested(top[0])
 
 
 def serialize_newick(t: HcTree, labels: Optional[Sequence[str]] = None) -> str:
     """Canonical Newick text (children by smallest leaf; no branch lengths)."""
-    def name(v: int) -> str:
-        return labels[v] if labels is not None else str(v)
-
-    parts = {}
-    for u in reversed(t._topo_order()):
-        if t.is_leaf(u):
-            parts[u] = name(t._leaf_vertex[u])
-        else:
-            parts[u] = "(" + ",".join(parts[c] for c in t.children(u)) + ")"
+    name = str if labels is None else labels.__getitem__
+    parts = t._fold(name, lambda kids: "(" + ",".join(kids) + ")")
     return parts[t.root] + ";"

@@ -110,6 +110,21 @@ def random_nested(rng, n):
     return parts[0]
 
 
+def random_nested_multi(rng, n):
+    """Random tree on 0..n-1 joining 2-4 random parts at a time.
+
+    Each new node lists its children in shuffled order, so the result is
+    rarely in canonical child order.
+    """
+    parts = list(range(n))
+    while len(parts) > 1:
+        k = int(rng.integers(2, min(4, len(parts)) + 1))
+        picked = sorted(rng.choice(len(parts), size=k, replace=False), reverse=True)
+        group = [parts.pop(int(i)) for i in picked]
+        parts.append(tuple(group[int(i)] for i in rng.permutation(k)))
+    return parts[0]
+
+
 def ultrametric(rng, n):
     """Integer weights n - |LCA cluster| over a random binary tree.
 

@@ -11,7 +11,6 @@ from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
-import pytest
 
 from hcratio import (
     ErModel,
@@ -21,7 +20,6 @@ from hcratio import (
     build_bisection,
     cost_report,
     dasgupta_cost,
-    expected_base_cost,
     is_consistent,
     optimal_ratio_bruteforce,
     predicted_rho,

@@ -1,6 +1,5 @@
 import time
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 import pytest

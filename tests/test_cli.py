@@ -1,7 +1,6 @@
 import os
 import shutil
 import subprocess
-import sys
 import venv
 from pathlib import Path
 
@@ -75,6 +74,15 @@ def test_cost_wrong_tree_leaves(capsys, p4, tmp_path):
     code, _, err = run(capsys, "cost", p4, str(tree))
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_cost_rejects_second_top_level_tree(capsys, tmp_path):
+    g = tmp_path / "k4.txt"
+    g.write_text("0 1 1\n0 2 1\n0 3 1\n1 2 1\n1 3 1\n2 3 1\n")
+    tree = tmp_path / "bad.nwk"
+    tree.write_text("(2,3)(0,1,2,3);\n")
+    code, out, err = run(capsys, "cost", str(g), str(tree))
+    assert (code, out, err) == (2, "", "error: unexpected '(' after the root\n")
 
 
 def test_detect_perfect_and_emit(capsys, p4, tmp_path):
@@ -239,6 +247,14 @@ def test_random_rejects_bad_parameters(capsys, args, message):
     code, out, err = run(capsys, "random", "--trials", "1", "--seed", "0",
                          *args)
     assert (code, out, err) == (2, "", message)
+
+
+@pytest.mark.parametrize("model", [["--er", "99999999999", "0.5"],
+                                   ["--planted", "99999999998", "0.5", "0.1"]])
+def test_random_rejects_n_whose_cube_reaches_2_63(capsys, model):
+    code, out, err = run(capsys, "random", *model, "--trials", "1", "--seed", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: n = {model[1]} is too large: n^3 must stay below 2^63\n"
 
 
 def test_random_rejects_zero_trials(capsys):

@@ -38,7 +38,6 @@ from hcratio.detect import (
 from helpers import (
     clique_graph,
     cycle_graph,
-    from_edges,
     graph_from,
     linked_stars,
     matching_graph,

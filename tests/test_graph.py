@@ -12,7 +12,6 @@ from hcratio import (
     InvalidWeight,
     ParseError,
     SelfLoop,
-    SimilarityGraph,
     base_cost,
     load_edge_list,
     load_graph,

@@ -46,6 +46,16 @@ def test_model_validation():
         PlantedModel(4, 0.3, 0.5)  # p <= q defeats the planted structure
 
 
+def test_model_rejects_n_whose_cube_reaches_2_63():
+    # SimilarityGraph's bound on unit weights; (2^21)^3 == 2^63
+    for make in (lambda n: ErModel(n, 0.5), lambda n: PlantedModel(n, 0.5, 0.1)):
+        with pytest.raises(InvalidParam, match="too large"):
+            make(2 ** 21)
+        with pytest.raises(InvalidParam, match="too large"):
+            make(99999999998)
+        assert make(2 ** 21 - 2).n == 2 ** 21 - 2  # nothing is allocated
+
+
 def test_generation_extremes():
     g = gen_er(5, 1.0, seed=1)
     assert g.weights.sum() == 5 * 4  # complete

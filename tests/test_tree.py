@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,13 @@ from hcratio import (
 )
 from hcratio.tree import _split_top_down
 
-from helpers import leaves_of, pair_cluster_size, random_nested, triplet_relation
+from helpers import (
+    leaves_of,
+    pair_cluster_size,
+    random_nested,
+    random_nested_multi,
+    triplet_relation,
+)
 
 
 def test_from_nested_basic():
@@ -117,6 +125,50 @@ def test_deep_caterpillar_does_not_recurse():
     assert t.n_leaves == 3000
     assert t.leaf_count(t.lca(0, 2999)) == 3000
     assert parse_newick(serialize_newick(t)) == t
+    assert binarize(t) == t
+
+
+def subtrees(nested):
+    """Every subtree of a nested tuple tree, root first."""
+    out, todo = [], [nested]
+    while todo:
+        node = todo.pop()
+        out.append(node)
+        if isinstance(node, tuple):
+            todo.extend(node)
+    return out
+
+
+@given(st.integers(1, 12), st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_folds_on_multifurcating_trees(n, seed):
+    nested = random_nested_multi(np.random.default_rng(seed), n)
+    t = HcTree.from_nested(nested)
+
+    M = t.lca_leaf_counts()
+    assert all(M[i, i] == 1 for i in range(n))
+    for i, j in combinations(range(n), 2):
+        assert M[i, j] == M[j, i] == pair_cluster_size(nested, i, j)
+
+    # to_nested: the same clusters, children ordered by smallest leaf
+    canon = t.to_nested()
+    assert ({frozenset(leaves_of(s)) for s in subtrees(canon)}
+            == {frozenset(leaves_of(s)) for s in subtrees(nested)})
+    for node in subtrees(canon):
+        if isinstance(node, tuple):
+            firsts = [min(leaves_of(c)) for c in node]
+            assert firsts == sorted(firsts)
+
+    b = binarize(t)
+    assert b.is_binary and b.vertices == t.vertices
+    for i, j, k in combinations(range(n), 3):
+        rel = triplet_relation(nested, i, j, k)
+        if rel[0] == "pair":
+            assert b.merge_relation(i, j, k) == \
+                TripletRelation.merged_first(*rel[1], rel[2])
+
+    labels = [f"x{v}" for v in np.random.default_rng(seed).permutation(n)]
+    assert parse_newick(serialize_newick(t, labels), labels) == t
 
 
 # -- newick ------------------------------------------------------------------
@@ -167,6 +219,10 @@ def test_parse_duplicate_leaf_rejected():
 @pytest.mark.parametrize("bad", [
     "", ";", "(a,b)", "(a,b;", "(a);", "a,b;", "((a,b);", "(a,,b);",
     "(a,b)); junk",
+    # a second item after the root has closed
+    "(a,b)(c,d);", "a(b,c);", "(a,b)c(d,e);",
+    # a group inside a group without a ','
+    "(a(b,c));", "((a,b)(c,d));",
 ])
 def test_parse_malformed(bad):
     with pytest.raises((ParseError, LeafMismatch)):
