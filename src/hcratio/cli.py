@@ -10,6 +10,7 @@ identical invocations produce byte-identical stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from math import isinf
@@ -192,7 +193,15 @@ def cmd_random(ns) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first call and shared after it.
+
+    Parsing leaves the parser unchanged: each ``parse_args`` fills a fresh
+    namespace, and the global flags default to SUPPRESS so ``main`` sets
+    them itself.  Building it costs about a millisecond, which a process
+    calling ``main`` many times would otherwise pay per call.
+    """
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--epsilon", type=float, default=argparse.SUPPRESS,
                         help="weight-equality tolerance (default 0: exact)")

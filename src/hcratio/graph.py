@@ -424,12 +424,15 @@ def _weights(toks: list[str]) -> tuple[np.ndarray, int]:
 
     The index is len(toks) when every token is a good weight.  The array is
     int64 unless some token reads as a float, then float64.  Tokens go
-    through ``int`` in one pass; ``_parse_weight`` reads them one at a time
-    only when that fails.
+    through ``int`` in one pass, then through ``float`` in one pass;
+    ``_parse_weight`` reads them one at a time only when both fail.
     """
     try:
         w = np.fromiter(map(int, toks), dtype=np.int64, count=len(toks))
     except (ValueError, OverflowError):
+        w = _float_weights(toks)
+        if w is not None:
+            return w, len(toks)
         vals = []
         for tok in toks:
             try:
@@ -440,6 +443,24 @@ def _weights(toks: list[str]) -> tuple[np.ndarray, int]:
         return np.array(vals, dtype=np.float64 if floaty else np.int64), len(vals)
     bad = _first(w < 0, len(w))
     return w[:bad], bad
+
+
+def _float_weights(toks: list[str]) -> Optional[np.ndarray]:
+    """The float64 weights of ``toks`` when all are good, else None.
+
+    Called once ``int`` has failed on some token, so a good list holds a
+    float token and reads as float64.  Every value must be finite, have no
+    sign bit (the token-by-token path reads ``-0`` as 0) and lie below 2**63
+    (where an int token does not fit int64); otherwise that path decides,
+    with its errors and first bad index.
+    """
+    try:
+        w = np.fromiter(map(float, toks), dtype=np.float64, count=len(toks))
+    except ValueError:
+        return None
+    if np.all(np.isfinite(w) & ~np.signbit(w) & (w < INT64_LIMIT)):
+        return w
+    return None
 
 
 def _first(mask: np.ndarray, default: int) -> int:

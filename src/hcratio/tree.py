@@ -12,7 +12,6 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -196,24 +195,33 @@ class HcTree:
         """Matrix M with M[i, j] = leaf count under lca(i, j), for vertices 0..n-1.
 
         Requires the leaf set to be exactly 0..n-1.  Diagonal is set to 1
-        (the leaf itself).  O(n^2) total via per-node cross products.
+        (the leaf itself).  O(n^2) total: the fold visits each subtree's
+        leaves one after another, so every node covers a range of that
+        order, and each pair of its children fills two slice blocks.
         """
         n = self.n_leaves
         if self.vertices != tuple(range(n)):
             raise LeafMismatch("lca_leaf_counts needs leaves 0..n-1")
-        M = np.ones((n, n), dtype=np.int64)
+        P = np.ones((n, n), dtype=np.int64)  # indexed by position in `order`
+        order = []
 
-        def blocks(lists):
+        def leaf(v):
+            order.append(v)
+            return len(order) - 1, len(order)
+
+        def blocks(spans):
             # every pair split between two children has this node as its LCA
-            under = sorted(chain.from_iterable(lists))
-            for a, xa in enumerate(lists):
-                for xb in lists[a + 1:]:
-                    M[np.ix_(xa, xb)] = len(under)
-                    M[np.ix_(xb, xa)] = len(under)
-            return under
+            lo, hi = min(s[0] for s in spans), max(s[1] for s in spans)
+            for a, (la, ha) in enumerate(spans):
+                for lb, hb in spans[a + 1:]:
+                    P[la:ha, lb:hb] = hi - lo
+                    P[lb:hb, la:ha] = hi - lo
+            return lo, hi
 
-        self._fold(lambda v: [v], blocks)
-        return M
+        self._fold(leaf, blocks)
+        rank = np.empty(n, dtype=np.intp)
+        rank[order] = np.arange(n)
+        return P[np.ix_(rank, rank)]
 
     # -- comparisons & display ----------------------------------------------
 

@@ -569,6 +569,19 @@ def oracle_load_edge_list(text, epsilon=0.0):
     return SimilarityGraph(mat, labels=list(order), epsilon=epsilon)
 
 
+def oracle_weights(toks):
+    """``graph._weights`` one token at a time: the leading good weights and
+    the index of the first bad token."""
+    vals = []
+    for tok in toks:
+        try:
+            vals.append(_parse_weight(tok, 0))
+        except ParseError:
+            break
+    floaty = any(isinstance(v, float) for v in vals)
+    return np.array(vals, dtype=np.float64 if floaty else np.int64), len(vals)
+
+
 def oracle_load_matrix(text, epsilon=0.0):
     lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]

@@ -1,16 +1,20 @@
+import argparse
 import os
 import shutil
 import subprocess
 import venv
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from hcratio.cli import main
+from hcratio import cli
+from hcratio.cli import build_parser, main
 
 
 P4_EDGES = "0 1 1\n1 2 1\n2 3 1\n"
 P5_EDGES = "0 1 1\n1 2 1\n2 3 1\n3 4 1\n"
+WOBBLY = "4\n0 1.0 0 0.99\n1.0 0 1.01 0\n0 1.01 0 1.0\n0.99 0 1.0 0\n"
 
 
 @pytest.fixture
@@ -109,7 +113,7 @@ def test_detect_records(capsys, p4, p5):
 
 def test_detect_epsilon_flag(capsys, tmp_path):
     g = tmp_path / "wobbly.txt"
-    g.write_text("4\n0 1.0 0 0.99\n1.0 0 1.01 0\n0 1.01 0 1.0\n0.99 0 1.0 0\n")
+    g.write_text(WOBBLY)
     code, out, _ = run(capsys, "detect", str(g))
     assert code == 1
     code, out, _ = run(capsys, "--epsilon", "0.1", "detect", str(g))
@@ -319,6 +323,53 @@ def test_flags_accepted_on_either_side(capsys, p4, tmp_path):
 def test_no_command_is_usage_error():
     with pytest.raises(SystemExit):
         main([])
+
+
+# -- one parser per process ---------------------------------------------------
+
+def test_parser_is_built_on_the_first_call_only(capsys, p4):
+    build_parser.cache_clear()
+    init = argparse.ArgumentParser.__init__
+    with mock.patch.object(argparse.ArgumentParser, "__init__",
+                           autospec=True, side_effect=init) as built:
+        counts = []
+        for argv in (["detect", p4], ["brute", p4], ["--records", "detect", p4]):
+            run(capsys, *argv)
+            counts.append(built.call_count)
+    assert counts[0] > 0
+    assert counts == [counts[0]] * 3
+
+
+def test_flags_do_not_leak_into_the_next_call(capsys, tmp_path):
+    g = tmp_path / "wobbly.txt"
+    g.write_text(WOBBLY)
+    emitted = tmp_path / "out.nwk"
+    code, out, _ = run(capsys, "--records", "--epsilon", "0.1", "--jobs", "2",
+                       "detect", str(g), "--emit-tree", str(emitted))
+    assert (code, out) == (0, "verdict\tperfect\n")
+    emitted.unlink()
+    code, out, _ = run(capsys, "detect", str(g))
+    assert (code, out) == (1, "not-perfect 0,1,2,3\n")
+    assert not emitted.exists()
+
+    er = ["random", "--er", "12", "0.5", "--trials", "1", "--seed", "3"]
+    with mock.patch.object(cli, "run_experiment",
+                           wraps=cli.run_experiment) as experiment:
+        run(capsys, "--jobs", "2", *er)
+        run(capsys, *er)
+    assert [c.kwargs["jobs"] for c in experiment.call_args_list] == [2, 1]
+
+
+@pytest.mark.parametrize("bad", [[], ["--records", "detect"], ["cost", "g"],
+                                 ["--jobs", "x", "brute", "g"]])
+def test_usage_error_leaves_the_next_call_alone(capsys, p4, bad):
+    build_parser.cache_clear()
+    alone = run(capsys, "detect", p4)
+    with pytest.raises(SystemExit) as exc:
+        main(bad)
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, "detect", p4) == alone == (0, "perfect\n", "")
 
 
 REPO = Path(__file__).resolve().parent.parent

@@ -30,6 +30,7 @@ from helpers import (
     oracle_float_base,
     oracle_load_edge_list,
     oracle_load_matrix,
+    oracle_weights,
     path_graph,
     random_int_graph,
     ultrametric,
@@ -254,6 +255,32 @@ def test_edge_list_loader_matches_record_oracle(text):
 @settings(max_examples=300, deadline=None)
 def test_matrix_loader_matches_row_oracle(text):
     assert outcome(load_matrix, text) == outcome(oracle_load_matrix, text)
+
+
+# Tokens where the one-pass float read and the token-by-token read could
+# part: signed zeros, underscores, non-finite values, the int64 edge and
+# tokens only one of int and float accepts.
+WEIGHT_TOKENS = GOOD_WEIGHTS + BAD_WEIGHTS + [
+    "-0", "-0.0", "0.0", "1e19", "9.3e18", str(2**63 + 1), str(2**63 - 2),
+    "0x10", "abc", "-nan", "1.5e-300", "3.0"]
+
+
+@given(st.lists(st.sampled_from(WEIGHT_TOKENS), max_size=12)
+       | st.lists(st.sampled_from(GOOD_WEIGHTS), max_size=12))
+@settings(max_examples=1000, deadline=None)
+def test_weights_match_token_oracle(toks):
+    w, bad = graph_mod._weights(toks)
+    want, want_bad = oracle_weights(toks)
+    assert (w.dtype, w.tobytes(), bad) == (want.dtype, want.tobytes(), want_bad)
+
+
+def test_float_weights_read_in_one_pass():
+    toks = ["0.5", "2", "1e2"] * 400
+    with mock.patch.object(graph_mod, "_parse_weight",
+                           side_effect=AssertionError("token-by-token read")):
+        w, bad = graph_mod._weights(toks)
+    assert w.dtype == np.float64 and bad == len(toks)
+    assert w[:3].tolist() == [0.5, 2.0, 100.0]
 
 
 def test_load_graph_autodetects():

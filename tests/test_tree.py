@@ -117,6 +117,42 @@ def test_lca_leaf_counts_matrix():
                 assert M[i, j] == pair_cluster_size(nested, i, j)
 
 
+def caterpillar(rng, n):
+    """A spine of n - 1 nodes over shuffled leaves; the spine child comes
+    first or last, and a node now and then takes a second leaf."""
+    labels = rng.permutation(n).tolist()
+    nested = labels.pop()
+    while labels:
+        k = 2 if len(labels) >= 2 and rng.random() < 0.2 else 1
+        leaves = [labels.pop() for _ in range(k)]
+        nested = tuple([nested] + leaves if rng.random() < 0.5
+                       else leaves + [nested])
+    return nested
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lca_leaf_counts_on_caterpillars(seed):
+    rng = np.random.default_rng(seed)
+    nested = caterpillar(rng, 30)
+    M = HcTree.from_nested(nested).lca_leaf_counts()
+    for i, j in combinations(range(30), 2):
+        assert M[i, j] == M[j, i] == pair_cluster_size(nested, i, j)
+
+
+@pytest.mark.parametrize("leaf_first", [False, True])
+def test_lca_leaf_counts_on_a_deep_caterpillar(leaf_first):
+    # spine (((0, 1), 2), ...): the LCA of i < j holds leaves 0..j
+    n = 2000
+    nested = 0
+    for v in range(1, n):
+        nested = (v, nested) if leaf_first else (nested, v)
+    M = HcTree.from_nested(nested).lca_leaf_counts()
+    idx = np.arange(n)
+    want = np.maximum.outer(idx, idx) + 1
+    np.fill_diagonal(want, 1)
+    assert M.dtype == np.int64 and np.array_equal(M, want)
+
+
 def test_deep_caterpillar_does_not_recurse():
     nested = 0
     for v in range(1, 3000):
