@@ -208,11 +208,8 @@ def base_cost(g: SimilarityGraph):
 
     - Level kernel, for n >= 64 and L <= 8.  With levels t_1 < ... < t_L
       (t_0 = 0), base = sum_l (t_l - t_{l-1}) * base(A_l), where the 0/1
-      matrix A_l = [W >= t_l] has base(A_l) = wedges - triangles =
-      sum_v C(deg v, 2) - tr(A_l^3) / 6: one float32 matmul per level.  The
-      product's entries are integers of at most n < 2^24, exact in float32,
-      and each level's sums are integers below n^3 < 2^53, taken in float64;
-      the levels are combined in Python ints.
+      matrix A_l = [W >= t_l] has base(A_l) = wedges - triangles, counted
+      exactly by ``_unit_base_cost``; the levels are combined in Python ints.
     - Rank count, otherwise: base = (n-2) * sum(w) - sum over pairs e of
       w_e * c_e, where c_e is the number of triplets whose maximum is e.
       Pairs are ranked by weight with ties broken by pair index, which never
@@ -269,7 +266,7 @@ def _integer_base_cost(g: SimilarityGraph) -> int:
     # uint16 keys take numpy's radix sort; the sort is stable either way
     order = np.argsort(w.astype(np.uint16) if w.max() < 2**16 else w,
                        kind="stable")
-    if _LEVEL_KERNEL_MIN_N <= n and n ** 3 < 2**53:
+    if _LEVEL_KERNEL_MIN_N <= n:
         sw = w[order]
         # each weight that differs from the one before; the least if positive
         levels = sw[np.concatenate(([sw[0] > 0], sw[1:] != sw[:-1]))]
@@ -298,28 +295,38 @@ def _level_base_cost(W: np.ndarray, levels: np.ndarray) -> int:
     total = 0
     below = 0
     for t in levels.tolist():
-        wedges2, triangles6 = _wedges_triangles((W >= t).astype(np.float32))
-        total += (t - below) * (int(wedges2) // 2 - int(triangles6) // 6)
+        total += (t - below) * _unit_base_cost((W >= t).astype(np.float32))
         below = t
     return total
 
 
-def _wedges_triangles(a: np.ndarray):
-    """Twice the wedges and six times the triangles of a weighted graph.
+# Entries of one row block of the product in ``_unit_base_cost`` (32 MB).
+_PRODUCT_BLOCK_ENTRIES = 2**23
 
-    ``a`` is a symmetric float matrix with a zero diagonal.  Wedges are
-    sum_v sum_{u<w} a_vu a_vw, from the row sums s as
-    sum_v (s_v^2 - sum_u a_vu^2) / 2; triangles are tr(a^3) / 6, from one
-    matrix product.  On a 0/1 matrix they count paths of two edges and
-    triangles; on edge probabilities, their expectations.  The row sums
-    are squared and every total is taken in float64 whatever the dtype of
-    ``a``.
+
+def _unit_base_cost(A: np.ndarray) -> int:
+    """Exact base cost of a graph given as a float32 0/1 adjacency matrix.
+
+    base = wedges - triangles = sum_v C(deg v, 2) - tr(A^3) / 6.  Degrees
+    are integers; tr(A^3) sums ``(A[R] @ A) * A[R]`` over row blocks R, so
+    the full product never exists.  Exact while n^3 < 2^63 (every n the
+    integer weight bound admits): the n wedge counts, each below n^2, sum
+    in int64; the product's entries are integers of at most n < 2^24,
+    exact in float32; and a block of |R| rows, |R| * n <= 2^23 or |R| = 1,
+    sums to at most |R| * n^2 < 2^53, exact in float64.
     """
-    s = a.sum(axis=1, dtype=np.float64)
-    wedges2 = (s * s - (a * a).sum(axis=1)).sum()
-    aa = a @ a
-    aa *= a
-    return wedges2, aa.sum(dtype=np.float64)
+    n = len(A)
+    deg = A.sum(axis=1, dtype=np.float64).astype(np.int64)
+    wedges = int((deg * (deg - 1)).sum()) // 2
+    step = max(1, _PRODUCT_BLOCK_ENTRIES // n)
+    buf = np.empty((min(step, n), n), dtype=np.float32)
+    triangles6 = 0
+    for r0 in range(0, n, step):
+        rows = A[r0:r0 + step]
+        prod = np.matmul(rows, A, out=buf[:len(rows)])
+        prod *= rows
+        triangles6 += int(prod.sum(dtype=np.float64))
+    return wedges - triangles6 // 6
 
 
 def load_edge_list(text: str, epsilon: float = 0.0) -> SimilarityGraph:

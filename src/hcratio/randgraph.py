@@ -19,7 +19,7 @@ from typing import Union
 import numpy as np
 
 from .errors import InvalidParam
-from .graph import INT64_LIMIT, SimilarityGraph, _wedges_triangles, base_cost
+from .graph import INT64_LIMIT, SimilarityGraph, _unit_base_cost
 
 Value = Union[int, float]
 
@@ -45,7 +45,9 @@ class ProbabilityMatrix:
 
 
 def _check_size(n: int) -> None:
-    # a unit-weight graph on n vertices needs n^3 < 2^63 (see SimilarityGraph)
+    # ``_unit_base_cost`` sums n wedge counts, each below n^2, in int64, so
+    # it is exact while n^3 < 2^63; a unit-weight SimilarityGraph (what
+    # gen_er returns) admits the same n
     if int(n) ** 3 >= INT64_LIMIT:
         raise InvalidParam(f"n = {n} is too large: n^3 must stay below 2^63")
 
@@ -71,9 +73,11 @@ class ErModel:
         _check_prob("p", self.p)
 
     def probability_matrix(self) -> ProbabilityMatrix:
-        m = np.full((self.n, self.n), self.p)
-        np.fill_diagonal(m, 0.0)
-        return ProbabilityMatrix(m)
+        return ProbabilityMatrix(self._probs(0, self.n))
+
+    def _probs(self, r0: int, r1: int) -> np.ndarray:
+        """Rows [r0, r1) of the probability matrix."""
+        return _off_diagonal(np.full((r1 - r0, self.n), float(self.p)), r0)
 
 
 @dataclass(frozen=True)
@@ -95,36 +99,62 @@ class PlantedModel:
                           stacklevel=3)
 
     def probability_matrix(self) -> ProbabilityMatrix:
+        return ProbabilityMatrix(self._probs(0, self.n))
+
+    def _probs(self, r0: int, r1: int) -> np.ndarray:
+        """Rows [r0, r1) of the probability matrix."""
         h = self.n // 2
-        m = np.full((self.n, self.n), self.q)
-        m[:h, :h] = self.p
-        m[h:, h:] = self.p
-        np.fill_diagonal(m, 0.0)
-        return ProbabilityMatrix(m)
+        same = (np.arange(r0, r1)[:, None] < h) == (np.arange(self.n) < h)
+        return _off_diagonal(np.where(same, float(self.p), float(self.q)), r0)
 
 
 Model = Union[ErModel, PlantedModel]
 
 
-def _sample(P: ProbabilityMatrix, seed: int) -> SimilarityGraph:
-    """Unit-weight sample; one uniform draw per pair, ascending (i, j)."""
-    n = P.n
+def _off_diagonal(rows: np.ndarray, r0: int) -> np.ndarray:
+    """Zero the diagonal entries of the row block that starts at row r0."""
+    k = len(rows)
+    rows[np.arange(k), np.arange(r0, r0 + k)] = 0.0
+    return rows
+
+
+# About this many pairs are drawn per row block of ``_sample`` (2 MB of draws).
+_DRAW_BLOCK_PAIRS = 2**18
+
+
+def _sample(model: Model, seed: int) -> np.ndarray:
+    """One sample as a float32 0/1 matrix; one draw per pair, ascending (i, j).
+
+    The draws are taken by row blocks; consecutive ``rng.random`` calls
+    continue one stream, so the bits do not depend on the block size.  Each
+    block's upper triangle is compared with its probabilities and mirrored
+    into its columns as it is written.
+    """
+    n = model.n
     rng = np.random.default_rng(seed)
-    iu = np.triu_indices(n, 1)
-    draws = rng.random(len(iu[0]))
-    w = np.zeros((n, n), dtype=np.int64)
-    w[iu] = draws < P.p[iu]
-    return SimilarityGraph(w + w.T)
+    A = np.zeros((n, n), dtype=np.float32)
+    step = max(1, _DRAW_BLOCK_PAIRS // n)
+    for r0 in range(0, n, step):
+        r1 = min(r0 + step, n)
+        upper = np.arange(n) > np.arange(r0, r1)[:, None]
+        rows = A[r0:r1]
+        draws = rng.random(np.count_nonzero(upper))
+        rows[upper] = draws < model._probs(r0, r1)[upper]
+        square = rows[:, r0:r1]
+        square += square.T  # numpy copies the overlapping operand first
+        A[r1:, r0:r1] = rows[:, r1:].T
+    return A
 
 
 def gen_er(n: int, p: float, seed: int) -> SimilarityGraph:
     """Sample a unit-weight graph where each pair appears with probability p."""
-    return _sample(ErModel(n, p).probability_matrix(), seed)
+    return SimilarityGraph(_sample(ErModel(n, p), seed).astype(np.int64))
 
 
 def gen_planted(n: int, p: float, q: float, seed: int) -> SimilarityGraph:
     """Sample the two-block model: blocks [0, n/2) and [n/2, n)."""
-    return _sample(PlantedModel(n, p, q).probability_matrix(), seed)
+    bits = _sample(PlantedModel(n, p, q), seed)
+    return SimilarityGraph(bits.astype(np.int64))
 
 
 def _triplet_base(a: Fraction, b: Fraction, c: Fraction) -> Fraction:
@@ -143,8 +173,8 @@ def expected_base_cost(model: Union[ProbabilityMatrix, Model]) -> float:
     Fraction arithmetic from the float parameters, and the sum is rounded
     to float once.  An arbitrary ProbabilityMatrix uses the identity
     wedges - triangles = sum_i (s_i^2 - sum_j p_ij^2) / 2 - tr(P^3) / 6,
-    with s the row sums, in float arithmetic; integer ``base_cost`` applies
-    the same identity to each 0/1 weight level.
+    with s the row sums, in float arithmetic; a sampled graph's exact base
+    cost is the same identity on its 0/1 adjacency (``_unit_base_cost``).
     """
     if isinstance(model, ErModel):
         p = Fraction(model.p)
@@ -156,6 +186,21 @@ def expected_base_cost(model: Union[ProbabilityMatrix, Model]) -> float:
                      + 2 * h * comb(h, 2) * _triplet_base(p, q, q))
     wedges2, triangles6 = _wedges_triangles(model.p)
     return float(wedges2) / 2.0 - float(triangles6) / 6.0
+
+
+def _wedges_triangles(a: np.ndarray):
+    """Twice the expected wedges and six times the expected triangles.
+
+    ``a`` holds edge probabilities: symmetric, zero diagonal.  Wedges are
+    sum_v sum_{u<w} a_vu a_vw, from the row sums s as
+    sum_v (s_v^2 - sum_u a_vu^2) / 2; triangles are tr(a^3) / 6, from one
+    matrix product.
+    """
+    s = a.sum(axis=1, dtype=np.float64)
+    wedges2 = (s * s - (a * a).sum(axis=1)).sum()
+    aa = a @ a
+    aa *= a
+    return wedges2, aa.sum(dtype=np.float64)
 
 
 def expectation_tree_total_cost(model: Model) -> float:
@@ -214,12 +259,11 @@ def run_experiment(model: Model, trials: int, seed_base: int,
         raise InvalidParam(f"need jobs >= 1, got {jobs}")
     if seed_base < 0:
         raise InvalidParam(f"need seed >= 0, got {seed_base}")
-    P = model.probability_matrix()
     tree_total = expectation_tree_total_cost(model)
     seeds = tuple(seed_base + t for t in range(trials))
 
     def one(seed: int) -> int:
-        return base_cost(_sample(P, seed))
+        return _unit_base_cost(_sample(model, seed))
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -47,7 +47,7 @@ class HcTree:
     ``HcTree.from_nested(((0, 1), (2, 3)))``.
     """
 
-    __slots__ = ("_parent", "_children", "_leaf_vertex", "_depth",
+    __slots__ = ("_parent", "_children", "_leaf_vertex", "_order", "_depth",
                  "_leaf_count", "_node_of", "root", "vertices", "n_leaves")
 
     def __init__(self, parent, children, leaf_vertex, root):
@@ -64,8 +64,20 @@ class HcTree:
         self.vertices = tuple(sorted(self._node_of))
         self.n_leaves = len(self.vertices)
 
+        # DFS preorder, kept for every fold: reordering child lists
+        # (``_canonicalize``) leaves it a preorder, so parents still come
+        # before children and each subtree stays one contiguous run
+        order, stack = [], [root]
+        while stack:
+            u = stack.pop()
+            order.append(u)
+            stack.extend(reversed(children[u]))
+        if len(order) != len(parent):
+            raise LeafMismatch("disconnected or cyclic node table")
+        self._order = order
+
         self._depth = [0] * len(parent)
-        for u in self._topo_order():  # root-to-leaf
+        for u in order:
             p = parent[u]
             self._depth[u] = 0 if p is None else self._depth[p] + 1
 
@@ -76,22 +88,11 @@ class HcTree:
 
         self._leaf_count = self._fold(lambda v: 1, count)
 
-    def _topo_order(self):
-        """Node ids ordered root first, children after parents (DFS)."""
-        order, stack = [], [self.root]
-        while stack:
-            u = stack.pop()
-            order.append(u)
-            stack.extend(reversed(self._children[u]))
-        if len(order) != len(self._parent):
-            raise LeafMismatch("disconnected or cyclic node table")
-        return order
-
     def _fold(self, leaf, node) -> list:
         """Per-node-id values, children first: ``leaf(vertex)`` at each leaf,
         ``node([child values])`` at each internal node."""
         out: list = [None] * len(self._parent)
-        for u in reversed(self._topo_order()):
+        for u in reversed(self._order):
             v = self._leaf_vertex[u]
             out[u] = leaf(v) if v is not None else \
                 node([out[c] for c in self._children[u]])

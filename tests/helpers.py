@@ -335,6 +335,22 @@ def oracle_float_base(W):
     return total
 
 
+def oracle_sample(P, seed):
+    """Unit-weight sample of a ProbabilityMatrix, all draws in one call.
+
+    One uniform draw per pair i < j in ascending (i, j), compared with
+    P[i, j] on a whole-matrix int64 layout: the sampler's pinned draw order
+    taken by the plainest route.
+    """
+    n = P.n
+    rng = np.random.default_rng(seed)
+    iu = np.triu_indices(n, 1)
+    draws = rng.random(len(iu[0]))
+    w = np.zeros((n, n), dtype=np.int64)
+    w[iu] = draws < P.p[iu]
+    return SimilarityGraph(w + w.T)
+
+
 def oracle_min_triplet(W, i, j, k):
     ws = sorted((W[i][j], W[i][k], W[j][k]))
     return ws[0] + ws[1]

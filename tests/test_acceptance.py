@@ -309,6 +309,25 @@ def test_criterion_08_large_random_concentration_n2000(capsys):
                         f"rho-hat mean {rep.rho_mean:.4f}, {elapsed:.1f}s")
 
 
+def test_criterion_08_large_random_concentration_n5000(capsys):
+    t0 = time.perf_counter()
+    rep = run_experiment(ErModel(5000, 0.5), trials=2, seed_base=7, jobs=2)
+    problems = []
+    ebc = rep.expected_base_cost
+    for b, rho in zip(rep.base_costs, rep.rho_estimates):
+        if not 0.95 <= b / ebc <= 1.05:
+            problems.append(f"base {b} off expectation {ebc:.1f}")
+        if abs(rho / 1.6 - 1.0) > 0.05:
+            problems.append(f"rho estimate {rho} not within 5% of 1.6")
+    elapsed = time.perf_counter() - t0
+    if elapsed >= 30.0:
+        problems.append(f"took {elapsed:.1f}s, budget 30s")
+    _report(capsys, 8, not problems,
+            problems or f"2 trials at n=5000: base within "
+                        f"{rep.max_base_deviation:.4f} of expectation, "
+                        f"rho-hat mean {rep.rho_mean:.4f}, {elapsed:.1f}s")
+
+
 def test_criterion_09_planted_reduction_and_turning_point(capsys):
     problems = []
     with warnings.catch_warnings():

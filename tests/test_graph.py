@@ -521,3 +521,21 @@ def test_base_cost_kernel_choice():
     assert _takes_level_kernel(levels(64, 1))
     assert _takes_level_kernel(levels(400, 8))
     assert _takes_level_kernel(np.zeros((64, 64), dtype=np.int64))
+
+
+@given(st.integers(64, 72),
+       st.lists(st.integers(1, 10**6), min_size=1, max_size=8, unique=True),
+       st.booleans(), st.sampled_from([1, 700, 2**23]),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=12, deadline=None)
+def test_level_kernel_matches_loop_oracle(n, levels, zeros, block, seed):
+    # integer graphs the default choice sends to the level kernel, each 0/1
+    # level through ``_unit_base_cost`` with its products in row blocks
+    rng = np.random.default_rng(seed)
+    W = np.zeros((n, n), dtype=np.int64)
+    W[np.triu_indices(n, 1)] = rng.choice(levels + [0] * zeros,
+                                          size=n * (n - 1) // 2)
+    W += W.T
+    with mock.patch.object(graph_mod, "_PRODUCT_BLOCK_ENTRIES", block):
+        assert _takes_level_kernel(W)
+        assert base_cost(graph_from(W)) == oracle_base(W)

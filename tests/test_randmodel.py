@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 from itertools import combinations
@@ -19,6 +20,10 @@ from hcratio import (
     predicted_rho,
     run_experiment,
 )
+from hcratio import graph as graph_mod
+from hcratio import randgraph as randgraph_mod
+
+from helpers import oracle_sample
 
 
 def test_probability_matrix_validation():
@@ -65,6 +70,61 @@ def test_generation_extremes():
     assert g.integral
     assert gp.weight(0, 1) == 1 and gp.weight(2, 3) == 1
     assert gp.weights.sum() == 4  # the two in-block edges only
+
+
+def test_probability_matrix_layout():
+    # the dense layouts the models are defined by, and their row blocks
+    er = np.full((7, 7), 0.3)
+    np.fill_diagonal(er, 0.0)
+    planted = np.full((8, 8), 0.2)
+    planted[:4, :4] = planted[4:, 4:] = 0.7
+    np.fill_diagonal(planted, 0.0)
+    for model, want in ((ErModel(7, 0.3), er),
+                        (PlantedModel(8, 0.7, 0.2), planted)):
+        got = model.probability_matrix().p
+        assert got.dtype == np.float64 and np.array_equal(got, want)
+        n = model.n
+        for r0, r1 in ((0, 1), (2, 5), (3, n), (n - 1, n)):
+            assert np.array_equal(model._probs(r0, r1), want[r0:r1])
+
+
+def _sampler_models(n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # p <= q is allowed, with a warning
+        models = [ErModel(n, p) for p in (0.0, 0.3, 1.0)]
+        if n % 2 == 0:
+            models += [PlantedModel(n, p, q) for p, q in
+                       ((0.7, 0.2), (1.0, 0.0), (0.4, 1.0), (0.0, 0.5))]
+    return models
+
+
+@pytest.mark.parametrize("block", [None, 1000, 1])
+@pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 400])
+def test_sampled_bits_and_unit_kernel_match_oracle(n, block, monkeypatch):
+    # a small block cuts both the draws and the triangle products into row
+    # blocks of 1000 // n rows (one row when that is 0), across any boundary
+    if block is not None:
+        monkeypatch.setattr(randgraph_mod, "_DRAW_BLOCK_PAIRS", block)
+        monkeypatch.setattr(graph_mod, "_PRODUCT_BLOCK_ENTRIES", block)
+    for model in _sampler_models(n):
+        for seed in (0, 7, 2**40 + 3):
+            A = randgraph_mod._sample(model, seed)
+            want = oracle_sample(model.probability_matrix(), seed)
+            assert A.dtype == np.float32
+            assert np.array_equal(A, want.weights)
+            base = graph_mod._unit_base_cost(A)
+            assert type(base) is int and base == base_cost(want)
+
+
+def test_generators_return_the_oracle_graph():
+    for n, p, seed in ((65, 0.3, 1), (400, 0.5, 9)):
+        g = gen_er(n, p, seed)
+        want = oracle_sample(ErModel(n, p).probability_matrix(), seed)
+        assert g.weights.dtype == np.int64
+        assert np.array_equal(g.weights, want.weights)
+    g = gen_planted(64, 0.8, 0.1, 5)
+    want = oracle_sample(PlantedModel(64, 0.8, 0.1).probability_matrix(), 5)
+    assert np.array_equal(g.weights, want.weights)
 
 
 def test_generation_deterministic_by_seed():
@@ -213,6 +273,30 @@ def test_experiment_seeds_and_bases_match_generation():
     assert rep.samples == 4
     for seed, b in zip(rep.seeds, rep.base_costs):
         assert b == base_cost(gen_er(30, 0.4, seed))
+
+
+def test_experiment_builds_no_graph_and_no_probability_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trial built a dense object it does not need")
+
+    want = run_experiment(PlantedModel(80, 0.6, 0.2), trials=3, seed_base=5)
+    monkeypatch.setattr(randgraph_mod, "SimilarityGraph", refuse)
+    monkeypatch.setattr(randgraph_mod, "ProbabilityMatrix", refuse)
+    got = run_experiment(PlantedModel(80, 0.6, 0.2), trials=3, seed_base=5)
+    assert got == want
+
+
+def test_experiment_trial_memory_is_bounded():
+    # one trial holds its float32 adjacency (4 bytes per pair) plus blocks;
+    # numpy reports its buffers to tracemalloc
+    n = 3000
+    tracemalloc.start()
+    try:
+        run_experiment(ErModel(n, 0.5), 1, 7, jobs=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n * n * 4
 
 
 def test_experiment_worker_count_is_invisible():

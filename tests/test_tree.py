@@ -153,6 +153,24 @@ def test_lca_leaf_counts_on_a_deep_caterpillar(leaf_first):
     assert M.dtype == np.int64 and np.array_equal(M, want)
 
 
+def test_order_kept_from_before_canonicalization_gives_same_folds():
+    # a tree keeps the DFS order it was built with; rebuilding one from its
+    # canonical child lists stores the canonical preorder instead, and
+    # every fold must read the same either way
+    reordered = 0
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 30))
+        for nested in (random_nested_multi(rng, n), caterpillar(rng, n)):
+            t = HcTree.from_nested(nested)
+            r = HcTree(t._parent, t._children, t._leaf_vertex, t.root)
+            reordered += t._order != r._order
+            assert np.array_equal(t.lca_leaf_counts(), r.lca_leaf_counts())
+            assert t.to_nested() == r.to_nested()
+            assert serialize_newick(t) == serialize_newick(r)
+    assert reordered > 20
+
+
 def test_deep_caterpillar_does_not_recurse():
     nested = 0
     for v in range(1, 3000):
