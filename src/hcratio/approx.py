@@ -10,10 +10,9 @@ one top down.
 ``approx_tree`` never lists the forced triplets.  Inside a working set S,
 BUILD links u and v when some k in S forces them, which holds exactly when
 W[u,v] beats delta^2 times the bottleneck min over k in S of max(W[u,k],
-W[v,k]).  One blocked min-max scan of S's weights gives every link
-(``detect._forced_links``), and S splits into the link components, ordered
-by smallest member.  ``build_constraints`` and ``rtc_build`` are the same
-construction with the forced triplets spelled out as
+W[v,k]) (``detect._forced_links``), and S splits into the link components,
+ordered by smallest member.  ``build_constraints`` and ``rtc_build`` are
+the same construction with the forced triplets spelled out as
 ``RootedTripletConstraint`` objects.
 """
 
@@ -27,7 +26,7 @@ import numpy as np
 
 from .detect import _components, _forced_links
 from .errors import InvalidDelta
-from .graph import INT64_LIMIT, SimilarityGraph
+from .graph import INT64_LIMIT, SimilarityGraph, _pair_maxima
 from .tree import HcTree, _split_top_down, binarize
 
 
@@ -91,17 +90,17 @@ def build_constraints(g: SimilarityGraph, delta) -> set[RootedTripletConstraint]
 
     Pair (u, v) must merge before k when W[u,v] > delta^2 x max(W[u,k],
     W[v,k]), compared as ``_forcing_rule`` says; as delta >= 1, only a
-    triplet's unique heaviest pair can pass.  Row u tests every (v, k) with
-    v > u at once.
+    triplet's unique heaviest pair can pass, and k = u or v, where the zero
+    diagonal makes the max W[u,v], never does.  Each slab of
+    ``_pair_maxima`` tests its pairs against every k at once.
     """
     W, forced = _forcing_rule(g, delta)
     out: set[RootedTripletConstraint] = set()
-    for u in range(g.n - 1):
-        # k = u or v never passes: the zero diagonal makes max(...) = W[u,v]
-        v, k = np.nonzero(forced(W[u, u + 1:, None],
-                                 np.maximum(W[u][None, :], W[u + 1:])))
-        out.update(RootedTripletConstraint(pair=(u, vv), outsider=kk)
-                   for vv, kk in zip((v + u + 1).tolist(), k.tolist()))
+    for u, v, mx in _pair_maxima(W):
+        i, j, k = np.nonzero(forced(W[u, v][..., None], mx)
+                             & (v > u)[..., None])
+        out.update(RootedTripletConstraint(pair=(a, b), outsider=c) for a, b, c
+                   in zip(u[i, 0].tolist(), v[j].tolist(), k.tolist()))
     return out
 
 
@@ -152,9 +151,7 @@ def approx_tree(g: SimilarityGraph, delta) -> Optional[HcTree]:
     None only when no tree satisfies the forced merges — in particular the
     input is then not a delta-distortion of any perfectly-clusterable graph.
     The tree is ``binarize(rtc_build(build_constraints(g, delta), g.n))``,
-    built without listing the constraints: each working set splits into
-    the components of its forced links (``detect._forced_links``), ordered
-    by smallest member as BUILD orders them.
+    built from the forced links without listing the constraints.
     """
     if g.n < 1:
         raise ValueError("need at least one vertex")

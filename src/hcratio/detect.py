@@ -10,10 +10,10 @@ succeeds if and only if some tree reaches ratio 1, and its tree always
 does.
 
 Every stage, and ``detect_claw``, asks of triplets the question
-``triplet_type`` answers one at a time, but asks it of a whole table at
-once: numpy slabs over a block of rows of the working set's weight matrix W.
-With eq(a, b) the graph's tie predicate (|a - b| <= epsilon, or a == b at
-epsilon 0), a triplet {u, v, k} is
+``triplet_type`` answers one at a time, but of a whole table at once: the
+slabs of ``graph._pair_maxima`` and the Type-2 apex slab over the working
+set's weight matrix W.  With eq(a, b) the graph's tie predicate (|a - b| <=
+epsilon, or a == b at epsilon 0), a triplet {u, v, k} is
 
 * Type-1 with heaviest pair (u, v) when W[u,v] > mx and not eq(W[u,v], mx),
   where mx = max(W[u,k], W[v,k]);
@@ -23,9 +23,7 @@ epsilon 0), a triplet {u, v, k} is
 * Type-3 when its three weights are pairwise eq.
 
 These rules name no order among the three pairs, so they give exactly
-``triplet_type``'s answer for any epsilon.  The Type-1 pairs come from
-``_forced_links``, which the delta-approximation shares: a pair is some
-triplet's Type-1 maximum exactly when it is one against its bottleneck.
+``triplet_type``'s answer for any epsilon.
 
 Epsilon is a classification tolerance: it decides which triplets count as
 tied.  Ratio 1 and ``cost``'s ``consistent`` are the paper's exact notions,
@@ -44,8 +42,9 @@ from typing import Optional, Union
 
 import numpy as np
 
+from . import graph
 from .errors import NotZeroBase
-from .graph import INT64_LIMIT, SimilarityGraph, base_cost
+from .graph import INT64_LIMIT, SimilarityGraph, _pair_maxima, base_cost
 from .tree import HcTree, _split_top_down
 
 Value = Union[int, float]
@@ -154,29 +153,22 @@ def _block_labels(p: Partition, n: int) -> np.ndarray:
     return np.array([p.block_of[v] for v in range(n)], dtype=np.intp)
 
 
-_BLOCK = 1 << 18  # elements per slab of the cubic scans
-
-
 def _forced_links(W, rule):
     """(u, v) index arrays, u < v, of the pairs some third vertex forces.
 
     ``rule(w, mx)`` says whether a third vertex k with mx = max(W[u,k],
     W[v,k]) forces u and v together.  Every rule passed here only gets easier
     as mx falls, so some k forces (u, v) exactly when the rule holds against
-    the bottleneck B[u,v] = min_k max(W[u,k], W[v,k]).  k = u or v gives
-    mx = W[u,v], which no such rule accepts, so B may include them.
+    the bottleneck B[u,v] = min_k max(W[u,k], W[v,k]).  By the zero diagonal,
+    k = u or v gives mx = max(W[u,v], 0), which is W[u,v] for weights and 0
+    for the -W of ``_type2_triplets``; no rule passed here accepts either,
+    so B may include them.
     """
-    n = len(W)
-    step = max(1, _BLOCK // max(n * n, 1))  # rows per (rows, n, n) slab
     out = [np.empty((2, 0), dtype=np.intp)]
-    for a in range(0, n, step):
-        b = min(a + step, n)
-        B = np.maximum(W[a:b, None, :], W[None, a + 1:, :]).min(axis=2)
-        i, j = np.nonzero(rule(W[a:b, a + 1:], B))
-        u, v = i + a, j + a + 1
-        out.append(np.stack([u, v])[:, v > u])
-    u, v = np.concatenate(out, axis=1)
-    return u, v
+    for u, v, mx in _pair_maxima(W):
+        i, j = np.nonzero(rule(W[u, v], mx.min(axis=2)) & (v > u))
+        out.append(np.stack([u[i, 0], v[j]]))
+    return tuple(np.concatenate(out, axis=1))
 
 
 def _type2_triplets(g: SimilarityGraph):
@@ -192,7 +184,7 @@ def _type2_triplets(g: SimilarityGraph):
     tie = _tie(g)
     u, v = _forced_links(-W, lambda w, mx: mx < w)
     out = [np.empty((3, 0), dtype=np.intp)]
-    step = max(1, _BLOCK // max(g.n, 1))  # bases per (bases, n) slab
+    step = max(1, graph._BLOCK // max(g.n, 1))  # bases per (bases, n) slab
     for a in range(0, len(u), step):
         bu, bv = u[a:a + step], v[a:a + step]
         i, x = np.nonzero(_tied_apex(W[bu, bv][:, None], W[bu], W[bv], tie))
@@ -243,8 +235,8 @@ def minimal_valid_partition(g: SimilarityGraph) -> Optional[Partition]:
     two-sided split of the working set can respect the weights.
 
     A pair is some triplet's Type-1 maximum exactly when it is one against
-    its bottleneck (``_forced_links``): w > mx beyond a tie only gets easier
-    as mx falls, because w - mx then exceeds the tolerance by more.
+    its bottleneck (``_forced_links``, shared with the approximation): w >
+    mx beyond a tie only gets easier as mx falls, as w - mx then grows.
     """
     n = g.n
     if n < 2:

@@ -210,17 +210,18 @@ def base_cost(g: SimilarityGraph):
       (t_0 = 0), base = sum_l (t_l - t_{l-1}) * base(A_l), where the 0/1
       matrix A_l = [W >= t_l] has base(A_l) = wedges - triangles, counted
       exactly by ``_unit_base_cost``; the levels are combined in Python ints.
-    - Rank count, otherwise: base = (n-2) * sum(w) - sum over pairs e of
-      w_e * c_e, where c_e is the number of triplets whose maximum is e.
-      Pairs are ranked by weight with ties broken by pair index, which never
-      changes a triplet's maximum weight, so c_e counts the third vertices
-      whose pairs with both ends of e rank below e.  Exact in int64.
+    - Pair maxima, otherwise.  Over pairs u < v and all k, the sum S of
+      max(W[u,v], W[u,k], W[v,k]) meets W[u,v] at k = u and k = v and each
+      triplet's maximum once per pair, so S = 3 * (sum of maxima) + 2 *
+      sum(w), and base = (n-2) * sum(w) - (S - 2 * sum(w)) / 3.  The slabs
+      of ``_pair_maxima`` are int32 when every weight is below 2^31; S sums
+      in int64, exact under the graph's max x n^3 < 2^63 bound.
 
     The level kernel stays the faster one up to about 16 levels at n = 128
     and 32 at n >= 256; 8 levels keep it at least twice as fast.  Below 64
     vertices both take under a millisecond, while the first matmul of a
-    process pages in BLAS code, so tiny graphs stay on the rank count, as do
-    graphs with many levels such as ultrametrics.
+    process pages in BLAS code, so tiny graphs stay on the pair maxima, as
+    do graphs with many levels such as ultrametrics.
 
     Float weights sum the rows of ``_triplet_rows`` instead, one numpy sum
     per row added in row order; that fixed order keeps float results
@@ -258,43 +259,51 @@ _LEVEL_KERNEL_MAX_LEVELS = 8
 
 
 def _integer_base_cost(g: SimilarityGraph) -> int:
-    n = g.n
+    n, W = g.n, g.weights
     if n < 3:
         return 0
-    iu = np.triu_indices(n, 1)
-    w = g.weights[iu]
-    # uint16 keys take numpy's radix sort; the sort is stable either way
-    order = np.argsort(w.astype(np.uint16) if w.max() < 2**16 else w,
-                       kind="stable")
     if _LEVEL_KERNEL_MIN_N <= n:
-        sw = w[order]
-        # each weight that differs from the one before; the least if positive
-        levels = sw[np.concatenate(([sw[0] > 0], sw[1:] != sw[:-1]))]
+        # the least distinct positive weights, one more than the kernel
+        # takes; as uint64, w - t - 1 lifts every w <= t to 2^63 or more
+        levels, t = [], 0
+        while len(levels) <= _LEVEL_KERNEL_MAX_LEVELS:
+            gap = (W - (t + 1)).view(np.uint64).min().item()
+            if gap >= 2**63:  # no weight above t
+                break
+            t += gap + 1
+            levels.append(t)
         if len(levels) <= _LEVEL_KERNEL_MAX_LEVELS:
-            del iu, w, order, sw  # free the pair arrays before the matmuls
-            return _level_base_cost(g.weights, levels)
-    pairs = len(w)
-    rank_t = np.int32 if pairs < 2**31 else np.int64
-    ranks = np.empty(pairs, dtype=rank_t)
-    ranks[order] = np.arange(pairs, dtype=rank_t)
-    R = np.full((n, n), pairs, dtype=rank_t)  # diagonal outranks every pair
-    R[iu] = ranks
-    R[iu[1], iu[0]] = ranks
-    heaviest = np.empty(pairs, dtype=np.int64)
-    start = 0
-    for u in range(n - 1):
-        r = R[u, u + 1:, None]
-        heaviest[start:start + n - 1 - u] = np.count_nonzero(
-            (R[u + 1:] < r) & (R[u] < r), axis=1)
-        start += n - 1 - u
-    return (n - 2) * w.sum().item() - int(w @ heaviest)
+            return _level_base_cost(W, levels)
+    X = W.astype(np.int32) if W.max() < 2**31 else W
+    S = 0
+    for u, v, mx in _pair_maxima(X):
+        np.maximum(mx, X[u, v][..., None], out=mx)
+        S += mx.sum(axis=2, dtype=np.int64)[v > u].sum().item()
+    total = g.total_weight()
+    return (n - 2) * total - (S - 2 * total) // 3
 
 
-def _level_base_cost(W: np.ndarray, levels: np.ndarray) -> int:
+_BLOCK = 1 << 18  # elements per slab of the cubic scans
+
+
+def _pair_maxima(X: np.ndarray):
+    """``(u, v, mx)`` per slab of rows of the pair x third-vertex table.
+
+    u is a column and v a row of vertex ids, mx[i, j, k] = max(X[u_i, k],
+    X[v_j, k]), and only the entries with v > u are pairs.
+    """
+    n = len(X)
+    step = max(1, _BLOCK // max(n * n, 1))  # rows per slab
+    for a in range(0, n, step):
+        yield (np.arange(a, min(a + step, n))[:, None], np.arange(a + 1, n),
+               np.maximum(X[a:a + step, None, :], X[None, a + 1:, :]))
+
+
+def _level_base_cost(W: np.ndarray, levels: list[int]) -> int:
     """Base cost from the ascending distinct positive weights ``levels``."""
     total = 0
     below = 0
-    for t in levels.tolist():
+    for t in levels:
         total += (t - below) * _unit_base_cost((W >= t).astype(np.float32))
         below = t
     return total

@@ -1,4 +1,5 @@
 from contextlib import contextmanager
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -19,7 +20,10 @@ from hcratio import (
     min_triplet_cost,
     triplet_type,
 )
+from hcratio import approx_tree, detect
 from hcratio import graph as graph_mod
+from hcratio.approx import build_constraints
+from hcratio.detect import minimal_valid_partition
 from hcratio.randgraph import gen_er, gen_planted
 
 from helpers import (
@@ -27,9 +31,11 @@ from helpers import (
     graph_from,
     linked_stars,
     oracle_base,
+    oracle_build_constraints,
     oracle_float_base,
     oracle_load_edge_list,
     oracle_load_matrix,
+    oracle_minimal_valid_partition,
     oracle_weights,
     path_graph,
     random_int_graph,
@@ -421,12 +427,12 @@ def test_base_cost_invariant_under_relabeling(n, seed):
     assert base_cost(g) == base_cost(graph_from(W2))
 
 
-# -- integer base-cost kernels: rank count vs weight levels ---------------------
+# -- integer base-cost kernels: pair maxima vs weight levels ------------------
 
 @contextmanager
 def _kernel(name):
     """Send every integer graph with n >= 3 to one base-cost kernel."""
-    if name == "rank":
+    if name == "maxima":
         limits = {"_LEVEL_KERNEL_MAX_LEVELS": -1}
     else:
         limits = {"_LEVEL_KERNEL_MIN_N": 0, "_LEVEL_KERNEL_MAX_LEVELS": 2**62}
@@ -435,12 +441,12 @@ def _kernel(name):
 
 
 def _both_kernels(g):
-    with _kernel("rank"):
-        rank = base_cost(g)
+    with _kernel("maxima"):
+        maxima = base_cost(g)
     with _kernel("level"):
         level = base_cost(g)
-    assert type(rank) is int and type(level) is int
-    return rank, level
+    assert type(maxima) is int and type(level) is int
+    return maxima, level
 
 
 @st.composite
@@ -461,8 +467,8 @@ def few_level_graphs(draw):
 @given(few_level_graphs())
 @settings(max_examples=120, deadline=None)
 def test_base_cost_kernels_match_loop_oracle(W):
-    rank, level = _both_kernels(graph_from(W))
-    assert rank == level == oracle_base(W)
+    maxima, level = _both_kernels(graph_from(W))
+    assert maxima == level == oracle_base(W)
 
 
 @pytest.mark.parametrize("zeros", [True, False])
@@ -475,10 +481,10 @@ def test_base_cost_kernels_exact_at_int64_bound(n, zeros):
     choices = [0, 1, top] if zeros else [1, top]
     W[np.triu_indices(n, 1)] = rng.choice(choices, size=n * (n - 1) // 2)
     g = graph_from(W + W.T)
-    rank, level = _both_kernels(g)
-    assert rank == level
+    maxima, level = _both_kernels(g)
+    assert maxima == level
     if n <= 40:
-        assert rank == oracle_base(g.weights)
+        assert maxima == oracle_base(g.weights)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 8, 63, 64, 100])
@@ -496,8 +502,8 @@ def test_base_cost_kernels_on_all_zero_graphs(n):
 ])
 def test_base_cost_kernels_agree_on_random_graphs(sample):
     g = sample()
-    rank, level = _both_kernels(g)
-    assert rank == level == base_cost(g)
+    maxima, level = _both_kernels(g)
+    assert maxima == level == base_cost(g)
 
 
 def _takes_level_kernel(W):
@@ -513,10 +519,11 @@ def test_base_cost_kernel_choice():
     def levels(n, count):
         return random_int_graph(rng, n, wmax=count).weights
 
-    # tiny graphs and graphs with many levels keep the rank count
+    # tiny graphs and graphs with many levels keep the pair maxima
     assert not _takes_level_kernel(levels(8, 1))
     assert not _takes_level_kernel(levels(63, 1))
     assert not _takes_level_kernel(levels(300, 40))
+    assert not _takes_level_kernel(levels(400, 9))
     # few levels on 64 or more vertices take one matmul per level
     assert _takes_level_kernel(levels(64, 1))
     assert _takes_level_kernel(levels(400, 8))
@@ -539,3 +546,68 @@ def test_level_kernel_matches_loop_oracle(n, levels, zeros, block, seed):
     with mock.patch.object(graph_mod, "_PRODUCT_BLOCK_ENTRIES", block):
         assert _takes_level_kernel(W)
         assert base_cost(graph_from(W)) == oracle_base(W)
+
+
+@pytest.mark.parametrize("top, slab",
+                         [(2**31 - 1, np.int32), (2**31, np.int64)])
+@pytest.mark.parametrize("n", [3, 4, 17, 40])
+def test_pair_maxima_base_cost_at_the_int32_edge(n, top, slab):
+    # weights up to 2^31 - 1 fit int32 slabs; one more takes int64 slabs
+    rng = np.random.default_rng(n)
+    W = np.zeros((n, n), dtype=np.int64)
+    W[np.triu_indices(n, 1)] = rng.choice([0, 1, top - 1, top],
+                                          size=n * (n - 1) // 2)
+    W[0, 1] = top
+    W += W.T
+    with mock.patch.object(graph_mod, "_pair_maxima",
+                           wraps=graph_mod._pair_maxima) as spy:
+        assert base_cost(graph_from(W)) == oracle_base(W)
+    assert spy.call_args.args[0].dtype == slab
+
+
+# -- slab boundaries of the pair x third-vertex scans -------------------------
+
+@st.composite
+def slab_graphs(draw):
+    """Integer or float graphs on 0..24 vertices, epsilon 0 or 1."""
+    n = draw(st.integers(0, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = ([0, 0, 1, 2, 3, 4] if draw(st.booleans())
+              else [0.0, 0.5, 1.25, 1.5, 2.75])
+    W = np.zeros((n, n), dtype=np.array(levels).dtype)
+    W[np.triu_indices(n, 1)] = rng.choice(levels, size=n * (n - 1) // 2)
+    return graph_from(W + W.T, epsilon=draw(st.sampled_from([0.0, 1.0])))
+
+
+def _slab_outputs(g, delta):
+    """What each reader of the slabs returns on g."""
+    part = minimal_valid_partition(g) if g.n >= 2 else None
+    tree = approx_tree(g, delta) if g.n >= 1 else None
+    return (base_cost(g), build_constraints(g, delta),
+            None if part is None else part.blocks,
+            tuple(map(tuple, detect._type2_triplets(g))),
+            None if tree is None else tree.to_nested())
+
+
+@given(slab_graphs(), st.sampled_from(["one", "uneven", "default"]),
+       st.sampled_from([1, Fraction(5, 4), 1.5]))
+@settings(max_examples=60, deadline=None)
+def test_every_slab_size_gives_the_same_answers(g, block, delta):
+    n = g.n
+    # one row or base per slab; 2 rows of pairs and 3n - 1 bases per slab
+    size = {"one": 1, "uneven": 3 * n * n - 1,
+            "default": graph_mod._BLOCK}[block]
+    default = _slab_outputs(g, delta)
+    with mock.patch.object(graph_mod, "_BLOCK", size), mock.patch.object(
+            detect, "_tied_apex", wraps=detect._tied_apex) as apex_slab:
+        base, cons, blocks, *rest = _slab_outputs(g, delta)
+        slabs = len(list(graph_mod._pair_maxima(g.weights)))
+    assert slabs == {"one": n, "uneven": (n + 1) // 2}.get(block, min(n, 1))
+    assert all(len(c.args[0]) <= max(1, size // max(n, 1))
+               for c in apex_slab.call_args_list)
+    assert rest == list(default[3:])
+    if g.integral:
+        assert base == oracle_base(g.weights)
+    assert cons == oracle_build_constraints(g, delta)
+    want = oracle_minimal_valid_partition(g) if n >= 2 else None
+    assert blocks == (None if want is None else want.blocks)
