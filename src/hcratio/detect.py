@@ -7,7 +7,9 @@ forbids that, peel off the lowest block holding no such triplet's apex;
 then recurse on both sides.  At epsilon 0 a claw is a triangle of those
 constraints, so the paper's claw case needs no claw search.  Detection
 succeeds if and only if some tree reaches ratio 1, and its tree always
-does.
+does.  At epsilon 0 an ultrametric graph skips the per-set pipeline: a
+single-linkage pass over a maximum spanning tree builds the same tree and
+certifies it in O(n^2) (``_ultrametric_tree``).
 
 Every stage, and ``detect_claw``, asks of triplets the question
 ``triplet_type`` answers one at a time, but of a whole table at once: the
@@ -35,6 +37,7 @@ every split still respects each triplet as epsilon classifies it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -44,7 +47,7 @@ import numpy as np
 
 from . import graph
 from .errors import NotZeroBase
-from .graph import INT64_LIMIT, SimilarityGraph, _pair_maxima, base_cost
+from .graph import INT64_LIMIT, SimilarityGraph, _pair_maxima
 from .tree import HcTree, _split_top_down
 
 Value = Union[int, float]
@@ -449,18 +452,120 @@ def zero_base_cost_tree(g: SimilarityGraph) -> HcTree:
     return HcTree.from_nested(spine)
 
 
+def _maximum_spanning_tree(W):
+    """(x, y, w) arrays of the n - 1 edges of a maximum spanning tree, by Prim.
+
+    Weights are compared in W's own dtype: casting int64 weights beyond
+    2^53 to float would round them.  Weights are nonnegative, so -1 marks
+    the vertices already in the tree.
+    """
+    n = len(W)
+    best = W[0].copy()  # heaviest edge from each vertex into the tree
+    best[0] = -1
+    link = np.zeros(n, dtype=np.intp)  # the tree end of that edge
+    out = np.ones(n, dtype=bool)  # not yet in the tree
+    out[0] = False
+    y = np.empty(n - 1, dtype=np.intp)
+    w = np.empty(n - 1, dtype=W.dtype)
+    for i in range(n - 1):
+        v = int(best.argmax())
+        y[i], w[i] = v, best[v]
+        best[v] = -1
+        out[v] = False
+        row = W[v]
+        closer = (row > best) & out
+        best[closer] = row[closer]
+        link[closer] = v
+    return link[y], y, w
+
+
+def _ultrametric_tree(g: SimilarityGraph) -> Optional[HcTree]:
+    """``build_bisection``'s tree when g is ultrametric at epsilon 0, else None.
+
+    W is ultrametric when every triplet's two smallest weights are equal
+    (so no triplet is Type-2, though a perfect graph may still fail this
+    with three distinct weights).  Exactly then W equals its
+    single-linkage merge levels (Gower & Ross 1969; Carlsson & Memoli,
+    JMLR 2010): L[u,v] is the level t at which a maximum spanning tree's
+    edges of weight >= t first join u and v.  O(n^2) in all:
+
+    * the triplets through vertex 0 must pass, a necessary test that
+      rejects most other graphs before any further work;
+    * merging the spanning tree's edges heaviest first, every group of
+      components that the edges of one weight t connect becomes one node,
+      its children ordered by smallest member;
+    * the graph is certified when every block of W between a child and the
+      children before it holds t.  Each pair lies in exactly one such block,
+      so this is W == L.
+
+    Each node with children c0, c1, ..., cr is emitted as the right comb
+    (c0, (c1, (..., cr))), which is the tree the per-set path builds: the
+    Type-1 links make the children the partition blocks, and with no
+    Type-2 triplet ``case2_bipartition`` peels the lowest block off the
+    rest, which repeats the argument.
+    """
+    W = g.weights
+    if g.epsilon != 0.0 or g.n < 3:
+        return None
+    # triplets {0, u, v}: no weight may lie strictly below the other two
+    a, S = W[0, 1:], W[1:, 1:]
+    side = a[:, None] < np.minimum(a, S)  # W[0,u] under W[0,v] and W[u,v]
+    bad = (S < np.minimum(a[:, None], a)) | side | side.T
+    np.fill_diagonal(bad, False)
+    if bad.any():
+        return None
+
+    x, y, w = (t.tolist() for t in _maximum_spanning_tree(W))
+    # per component: its vertices, its smallest vertex and its nested tree
+    members = [np.array([v]) for v in range(g.n)]
+    first = list(range(g.n))
+    shape: list = list(range(g.n))
+    comp = np.arange(g.n)  # component of each vertex
+    heaviest_first = sorted(range(len(w)), key=w.__getitem__, reverse=True)
+    for t, edges in itertools.groupby(heaviest_first, key=w.__getitem__):
+        edges = list(edges)
+        cx = comp[[x[i] for i in edges]].tolist()
+        cy = comp[[y[i] for i in edges]].tolist()
+        ids = sorted(set(cx + cy))
+        pos = {c: i for i, c in enumerate(ids)}
+        for grp in _components(len(ids), [pos[c] for c in cx],
+                               [pos[c] for c in cy]):
+            kids = sorted((ids[i] for i in grp), key=first.__getitem__)
+            verts = np.concatenate([members[c] for c in kids])
+            cut = list(itertools.accumulate(len(members[c]) for c in kids))
+            for lo, hi in zip(cut, cut[1:]):
+                if not (W[verts[:lo, None], verts[lo:hi]] == t).all():
+                    return None
+            nested = shape[kids[-1]]
+            for c in reversed(kids[:-1]):
+                nested = (shape[c], nested)
+            comp[verts] = len(members)
+            members.append(verts)
+            first.append(first[kids[0]])
+            shape.append(nested)
+    return HcTree.from_nested(shape[-1])
+
+
 def build_bisection(g: SimilarityGraph) -> DetectionResult:
     """Full top-down detection over the whole graph.
 
-    Zero base cost short-circuits to the matching construction.  Otherwise
-    each vertex set splits in two by ``valid_bisect`` on its induced
-    subgraph, and the sides split in turn; the first set with no valid split
-    (sides taken second first) aborts the build and is reported.
+    Zero base cost (no vertex with two positive edges) short-circuits to
+    the matching construction.  At epsilon 0 an ultrametric graph then
+    gets its single-linkage tree in O(n^2) (``_ultrametric_tree``), the
+    same tree the per-set path would build.  Otherwise each vertex set
+    splits in two by ``valid_bisect`` on its induced subgraph, and the
+    sides split in turn; the first set with no valid split (sides taken
+    second first) aborts the build and is reported.
     """
     if g.n == 0:
         raise ValueError("empty graph")
-    if base_cost(g) == 0:
+    try:
         return DetectionResult(tree=zero_base_cost_tree(g))
+    except NotZeroBase:
+        pass
+    tree = _ultrametric_tree(g)
+    if tree is not None:
+        return DetectionResult(tree=tree)
 
     def split(verts):
         bp = valid_bisect(g.induced(verts))

@@ -141,6 +141,25 @@ def ultrametric(rng, n):
     return W
 
 
+def ultrametric_multi(rng, n, root_level=0, steps=(1, 2)):
+    """Integer ultrametric over a ``random_nested_multi`` tree.
+
+    The root's children meet at ``root_level``; each node's level exceeds
+    its parent's by a step drawn from ``steps``, so unrelated subtrees
+    often share a level.
+    """
+    W = np.zeros((n, n), dtype=np.int64)
+    stack = [(random_nested_multi(rng, n), root_level)] if n else []
+    while stack:
+        node, level = stack.pop()
+        if isinstance(node, tuple):
+            groups = [sorted(leaves_of(c)) for c in node]
+            for a, b in combinations(groups, 2):
+                W[np.ix_(a, b)] = W[np.ix_(b, a)] = level
+            stack.extend((c, level + int(rng.choice(steps))) for c in node)
+    return W
+
+
 def is_connected(g):
     n = g.n
     if n == 0:
@@ -486,12 +505,24 @@ def oracle_build_constraints(g, delta):
 
 def oracle_build_bisection(g):
     """build_bisection with the loop oracles above as its partition and
-    Type-2 stages; the recursion and the splits are the library's."""
+    Type-2 stages; the recursion and the splits are the library's.  The
+    ultrametric shortcut is off, so every graph takes the per-set path."""
     with mock.patch.multiple(
             "hcratio.detect",
             minimal_valid_partition=oracle_minimal_valid_partition,
-            _crossing_type2=oracle_crossing_type2):
+            _crossing_type2=oracle_crossing_type2,
+            _ultrametric_tree=lambda g: None):
         return build_bisection(g)
+
+
+def oracle_is_ultrametric(g):
+    """No triplet's two smallest weights differ (epsilon is ignored)."""
+    W = g.weights.tolist()
+    for i, j, k in combinations(range(g.n), 3):
+        lo, mid, _ = sorted((W[i][j], W[i][k], W[j][k]))
+        if lo != mid:
+            return False
+    return True
 
 
 # -- the claw dispatch of the paper -------------------------------------------

@@ -44,11 +44,14 @@ from helpers import (
     oracle_build_bisection,
     oracle_crossing_type2,
     oracle_detect_claw,
+    oracle_is_ultrametric,
     oracle_minimal_valid_partition,
     oracle_valid_bisect,
     path_graph,
     star_graph,
     tie_heavy_graphs,
+    ultrametric,
+    ultrametric_multi,
 )
 
 
@@ -506,7 +509,8 @@ def bisect_against_claw_dispatch(g):
             claws += p is not None and detect_claw(sub, p) is not None
         return bp
 
-    with mock.patch("hcratio.detect.valid_bisect", checked):
+    with mock.patch.multiple("hcratio.detect", valid_bisect=checked,
+                             _ultrametric_tree=lambda g: None):
         build_bisection(g)
     return claws
 
@@ -735,6 +739,124 @@ def test_build_bisection_reports_last_stuck_side():
     def bisect(sub):  # six vertices split 3 + 3, and no side splits again
         return Bipartition((0, 1, 2), (3, 4, 5)) if sub.n == 6 else None
 
+    # a path is not ultrametric, so it takes the per-set path
     with mock.patch("hcratio.detect.valid_bisect", bisect):
-        res = build_bisection(clique_graph(6))
+        res = build_bisection(path_graph(6))
     assert res.failed_on == frozenset({3, 4, 5})
+
+
+# -- the ultrametric certificate ---------------------------------------------
+
+def per_set_bisection(g):
+    with mock.patch("hcratio.detect._ultrametric_tree", lambda g: None):
+        return build_bisection(g)
+
+
+def float_copy(W):
+    """Non-integral image w * 0.7 + 0.05 with the same ties; zeros stay 0."""
+    return np.where(W == 0, 0.0, W * 0.7 + 0.05)
+
+
+def caterpillar(n):
+    """The ultrametric W[i,j] = n - max(i, j)."""
+    i = np.arange(n)
+    W = n - np.maximum.outer(i, i)
+    np.fill_diagonal(W, 0)
+    return W
+
+
+def parity_caterpillar(n):
+    """Consistent with the caterpillar tree, yet not ultrametric: W[i,k]
+    and W[j,k] differ when i and j differ in parity."""
+    i = np.arange(n)
+    W = 2 * (n - np.maximum.outer(i, i)) + np.minimum.outer(i, i) % 2
+    np.fill_diagonal(W, 0)
+    return W
+
+
+@st.composite
+def ultrametrics(draw):
+    """Binary ``helpers.ultrametric`` graphs, or trees of arity 2-4 whose
+    root level may be 0 and whose levels step by 1 or 2, so unrelated
+    subtrees often share a level; integer weights or their float copies."""
+    n = draw(st.integers(3, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        W = ultrametric(rng, n)
+    else:
+        W = ultrametric_multi(rng, n, root_level=draw(st.integers(0, 2)),
+                              steps=draw(st.sampled_from([(1,), (1, 2)])))
+    return graph_from(float_copy(W) if draw(st.booleans()) else W)
+
+
+@given(ultrametrics())
+@settings(max_examples=200, deadline=None)
+def test_ultrametric_tree_matches_per_set_path(g):
+    got, want = build_bisection(g), per_set_bisection(g)
+    assert want.perfect
+    assert serialize_newick(got.tree) == serialize_newick(want.tree)
+    assert detect._ultrametric_tree(g) is not None
+
+
+def test_ultrametric_graphs_never_reach_the_per_set_path():
+    def fail(sub):
+        raise AssertionError("valid_bisect called")
+
+    rng = np.random.default_rng(23)
+    graphs = [caterpillar(200), ultrametric(rng, 200),
+              ultrametric_multi(rng, 200, root_level=0, steps=(1, 2))]
+    graphs.append(float_copy(graphs[-1]))
+    with mock.patch("hcratio.detect.valid_bisect", fail):
+        results = [build_bisection(graph_from(W)) for W in graphs]
+    assert all(res.perfect for res in results)
+    # the caterpillar tree ((..((0,1),2)..),199)
+    want = "(" * 199 + "0" + "".join(f",{i})" for i in range(1, 200)) + ";"
+    assert serialize_newick(results[0].tree) == want
+    for W, res in zip(graphs[:3], results):
+        g = graph_from(W)
+        assert total_cost(g, res.tree) == base_cost(g)
+
+
+@given(tie_heavy_graphs())
+@settings(max_examples=200, deadline=None)
+def test_ultrametric_tree_exactly_on_ultrametric_graphs(g):
+    got = detect._ultrametric_tree(g)
+    if g.epsilon > 0:
+        assert got is None
+        return
+    assert (got is None) == (not oracle_is_ultrametric(g))
+    if got is not None:  # zero base cost still takes the matching tree
+        assert serialize_newick(build_bisection(g).tree) == serialize_newick(
+            per_set_bisection(g).tree)
+
+
+def test_ultrametric_tree_rejects_claws_perturbations_and_parity():
+    rng = np.random.default_rng(31)
+    graphs = [claw_graph(rng) for _ in range(100)]
+    for _ in range(100):
+        W = ultrametric_multi(rng, int(rng.integers(3, 12)), 1, (1, 2))
+        k = np.triu(rng.integers(1, 3, size=W.shape), 1)
+        graphs.append(graph_from(W * (k + k.T)))
+    graphs += [graph_from(parity_caterpillar(n)) for n in (4, 5, 30)]
+    rejected = 0
+    for g in graphs:
+        got = detect._ultrametric_tree(g)
+        assert (got is None) == (not oracle_is_ultrametric(g))
+        rejected += got is None
+    assert rejected >= 150
+    assert build_bisection(graph_from(parity_caterpillar(30))).perfect
+    # the same weights under a tolerance never take the shortcut
+    for W in (caterpillar(10), ultrametric(rng, 10)):
+        assert detect._ultrametric_tree(graph_from(W, epsilon=0.5)) is None
+
+
+def test_ultrametric_tree_compares_int64_weights_exactly():
+    # 2^53 + 1 rounds to 2^53 as a float; max weight x 4^3 stays below 2^63
+    a, b = 2**53, 2**53 + 1
+    # every triplet through vertex 0 passes, but {1, 2, 3} weighs a, b, b
+    g = graph_from([[0, a, a, a], [a, 0, a, b], [a, a, 0, b], [a, b, b, 0]])
+    assert g.integral and not oracle_is_ultrametric(g)
+    assert detect._ultrametric_tree(g) is None
+    g = graph_from([[0, b, a, a], [b, 0, a, a], [a, a, 0, a], [a, a, a, 0]])
+    assert serialize_newick(detect._ultrametric_tree(g)) == "((0,1),(2,3));"
+    assert serialize_newick(per_set_bisection(g).tree) == "((0,1),(2,3));"
