@@ -38,10 +38,14 @@ class CostReport:
     consistent: bool
 
 
-def _lca_counts(g: SimilarityGraph, t: HcTree) -> np.ndarray:
+def _check_leaves(g: SimilarityGraph, t: HcTree) -> None:
     if t.vertices != tuple(range(g.n)):
         raise LeafMismatch(
             f"tree leaves {t.vertices[:6]}... do not match graph vertices 0..{g.n - 1}")
+
+
+def _lca_counts(g: SimilarityGraph, t: HcTree) -> np.ndarray:
+    _check_leaves(g, t)
     return t.lca_leaf_counts()
 
 
@@ -84,8 +88,14 @@ def triplet_cost(g: SimilarityGraph, t: HcTree, i: int, j: int, k: int) -> Value
 
 
 def ratio_cost(g: SimilarityGraph, t: HcTree) -> Union[Fraction, float]:
-    """total / base, with 0/0 = 1 and positive/0 = +inf; see ``ratio_of``."""
-    return ratio_of(total_cost(g, t), base_cost(g), g.integral)
+    """total / base, with 0/0 = 1 and positive/0 = +inf; see ``ratio_of``.
+
+    On integer weights a consistent tree has base = total (see
+    ``is_consistent``), so base cost is summed only for other trees.
+    """
+    total = total_cost(g, t)
+    consistent = g.integral and _consistent(g.weights, t)
+    return ratio_of(total, total if consistent else base_cost(g), g.integral)
 
 
 def ratio_of(total: Value, base: Value, integral: bool) -> Union[Fraction, float]:
@@ -125,31 +135,87 @@ def find_inconsistent_triplet(
     return None
 
 
+def _consistent(W: np.ndarray, t: HcTree) -> bool:
+    """True iff tree ``t`` on leaves 0..n-1 is consistent with weights W.
+
+    A triplet pays its least cost exactly when the pair the tree merges
+    first is a heaviest pair, or, when all three merge at once, when all
+    three weights are 0.  So the tree is consistent iff at every internal
+    node v:
+
+    (a) each leaf i under a child C weighs at most min over j in C - {i}
+        of W[i, j] to every other leaf under v; and
+    (b) if v has three or more children, every weight between two of
+        them is 0.
+
+    The fold lists each subtree's leaves as one run, so with W in that
+    order the pairs a node joins are slices: one block between two
+    children, or each child's columns left and right of it.  ``inner``
+    carries each leaf's least weight within its subtree up the tree.
+    Each pair is read at its LCA only: O(n^2).  Weights are only
+    compared, never summed.
+    """
+    order, nodes = [], []  # nodes: (lo, hi, child spans), children first
+
+    def leaf(v):
+        order.append(v)
+        return len(order) - 1, len(order)
+
+    def node(spans):  # disjoint, so the least span starts the run
+        lo, hi = min(spans)[0], max(spans)[1]
+        nodes.append((lo, hi, spans))
+        return lo, hi
+
+    t._fold(leaf, node)
+    P = W[np.ix_(order, order)]
+    inner = np.full(len(W), W.max(initial=0))  # no pair within a leaf
+    for lo, hi, spans in nodes:
+        if len(spans) > 2:  # (b), which implies (a)
+            if any(P[a:b, lo:a].any() or P[a:b, b:hi].any() for a, b in spans):
+                return False
+            inner[lo:hi] = 0
+            continue
+        (a, m), (_, b) = sorted(spans)  # (a) on the block between the two
+        X = P[a:m, m:b]
+        # a lone leaf has no inner pair, so (a) cannot fail on its side
+        if (m - a > 1 and (X.max(axis=1) > inner[a:m]).any()) or \
+                (b - m > 1 and (X.max(axis=0) > inner[m:b]).any()):
+            return False
+        np.minimum(inner[a:m], X.min(axis=1), out=inner[a:m])
+        np.minimum(inner[m:b], X.min(axis=0), out=inner[m:b])
+    return True
+
+
 def is_consistent(g: SimilarityGraph, t: HcTree) -> bool:
     """True iff every triplet is charged the least its weights allow.
 
     Total cost is the sum of the triplet charges and base cost the sum of
-    their minima, so on integer weights, exact in int64, the two are equal
-    exactly when the tree is consistent.  Float weights take the triplet
-    scan.
+    their minima, so the tree is consistent exactly when the two are
+    equal.  Integer weights are decided without either sum, by an O(n^2)
+    test of the tree's nodes (``_consistent``).  Float weights take the
+    triplet scan.
     """
     if g.integral:
-        return total_cost(g, t) == base_cost(g)
+        _check_leaves(g, t)
+        return _consistent(g.weights, t)
     return find_inconsistent_triplet(g, t) is None
 
 
 def cost_report(g: SimilarityGraph, t: HcTree) -> CostReport:
     """Evaluate all costs of the pair in one go, from one LCA count matrix.
 
-    ``consistent`` is total == base on integer weights (see
-    ``is_consistent``) and the triplet scan on float weights.
+    On integer weights ``consistent`` comes from ``is_consistent``'s O(n^2)
+    test, and a consistent tree's base cost is its total, so the cubic
+    ``base_cost`` runs only for inconsistent trees.  Float weights sum
+    ``base_cost`` and take the triplet scan.
     """
     M = _lca_counts(g, t)
     das, tot = _pair_sums(g, M)
-    base = base_cost(g)
     if g.integral:
-        consistent = tot == base
+        consistent = _consistent(g.weights, t)
+        base = tot if consistent else base_cost(g)
     else:
+        base = base_cost(g)
         consistent = find_inconsistent_triplet(g, t, M) is None
     return CostReport(dasgupta=das, total=tot, base=base,
                       ratio=ratio_of(tot, base, g.integral),

@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -345,19 +346,11 @@ def load_edge_list(text: str, epsilon: float = 0.0) -> SimilarityGraph:
     zero.  '#' starts a comment.  Raises SelfLoop / DuplicateEdge /
     InvalidWeight on bad records, for the first bad line in the file.
 
-    Records are gathered as one flat token list and checked as arrays; a
-    malformed line ends the gathering, and reports its error only when no
-    record before it is bad.
+    Records are gathered as one flat token list (``_edge_tokens``) and
+    checked as arrays; a malformed line ends the gathering, and reports its
+    error only when no record before it is bad.
     """
-    toks: list[str] = []
-    malformed = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        parts = raw.split("#", 1)[0].split()
-        if len(parts) == 3:
-            toks += parts
-        elif parts:
-            malformed = lineno, raw
-            break
+    toks, malformed = _edge_tokens(text)
     wtoks = toks[2::3]
     del toks[2::3]  # toks now holds u0, v0, u1, v1, ...
     m = len(wtoks)
@@ -378,6 +371,37 @@ def load_edge_list(text: str, epsilon: float = 0.0) -> SimilarityGraph:
     mat[lo, hi] = w
     mat[hi, lo] = w
     return SimilarityGraph(mat, labels=list(index), epsilon=epsilon)
+
+
+# Text up to the next line boundary of ``str.splitlines``, and a comment.
+_LINE = re.compile(r"[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*")
+_COMMENT = re.compile("#" + _LINE.pattern)
+
+
+def _edge_tokens(text: str) -> tuple[list[str], Optional[tuple[int, str]]]:
+    """Record tokens u0, v0, w0, u1, ..., and the first malformed line.
+
+    The malformed line is (line number, raw line), or None when every
+    non-blank line, comment removed, holds exactly three tokens.  That is
+    decided by one ``split`` of the whole text: once comments are gone no
+    '#' is left, so the '#' closing each non-blank line are the only '#'
+    tokens, and must be every fourth token.  Only text that fails is walked
+    line by line, gathering the records before its first malformed line.
+    """
+    lines = list(filter(str.strip, _COMMENT.sub("", text).splitlines()))
+    toks = " # ".join(lines + [""]).split()
+    marks = toks[3::4]
+    del toks[3::4]
+    if marks.count("#") == len(marks) == len(lines):
+        return toks, None
+    toks = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        parts = raw.split("#", 1)[0].split()
+        if len(parts) == 3:
+            toks += parts
+        elif parts:
+            return toks, (lineno, raw)
+    return toks, None
 
 
 def _raise_edge_error(text: str, record: int):
@@ -442,9 +466,11 @@ def _weights(toks: list[str]) -> tuple[np.ndarray, int]:
     int64 unless some token reads as a float, then float64.  Tokens go
     through ``int`` in one pass, then through ``float`` in one pass;
     ``_parse_weight`` reads them one at a time only when both fail.
+    Building the int64 array from the strings calls ``int`` on each, so
+    ``1_0`` and ``+5`` read as numbers and 2**63 overflows.
     """
     try:
-        w = np.fromiter(map(int, toks), dtype=np.int64, count=len(toks))
+        w = np.array(toks, dtype=np.int64)
     except (ValueError, OverflowError):
         w = _float_weights(toks)
         if w is not None:
@@ -502,15 +528,17 @@ def _first_repeat(keys: np.ndarray, default: int) -> int:
 
 
 def load_graph(text: str, epsilon: float = 0.0) -> SimilarityGraph:
-    """Auto-detect edge-list vs matrix format and load accordingly."""
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if len(line.split()) == 1:
-            return load_matrix(text, epsilon=epsilon)
-        return load_edge_list(text, epsilon=epsilon)
-    raise ParseError("empty graph input")
+    """Auto-detect edge-list vs matrix format and load accordingly.
+
+    The first non-blank line, comments removed, decides: a lone token is
+    a matrix's vertex count, more are an edge record.
+    """
+    body = _COMMENT.sub("", text).lstrip()
+    if not body:
+        raise ParseError("empty graph input")
+    if len(_LINE.match(body).group().split()) == 1:
+        return load_matrix(text, epsilon=epsilon)
+    return load_edge_list(text, epsilon=epsilon)
 
 
 def _parse_weight(token: str, lineno: int):

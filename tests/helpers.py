@@ -148,8 +148,14 @@ def ultrametric_multi(rng, n, root_level=0, steps=(1, 2)):
     its parent's by a step drawn from ``steps``, so unrelated subtrees
     often share a level.
     """
+    return ultrametric_multi_tree(rng, n, root_level, steps)[0]
+
+
+def ultrametric_multi_tree(rng, n, root_level=0, steps=(1, 2)):
+    """``ultrametric_multi``'s weights and the nested tree they come from."""
     W = np.zeros((n, n), dtype=np.int64)
-    stack = [(random_nested_multi(rng, n), root_level)] if n else []
+    tree = random_nested_multi(rng, n) if n else None
+    stack = [(tree, root_level)] if n else []
     while stack:
         node, level = stack.pop()
         if isinstance(node, tuple):
@@ -157,7 +163,7 @@ def ultrametric_multi(rng, n, root_level=0, steps=(1, 2)):
             for a, b in combinations(groups, 2):
                 W[np.ix_(a, b)] = W[np.ix_(b, a)] = level
             stack.extend((c, level + int(rng.choice(steps))) for c in node)
-    return W
+    return W, tree
 
 
 def is_connected(g):
@@ -614,6 +620,17 @@ def oracle_load_edge_list(text, epsilon=0.0):
         mat[order[u], order[v]] = w
         mat[order[v], order[u]] = w
     return SimilarityGraph(mat, labels=list(order), epsilon=epsilon)
+
+
+def oracle_load_graph(text, epsilon=0.0):
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if len(line.split()) == 1:
+            return oracle_load_matrix(text, epsilon)
+        return oracle_load_edge_list(text, epsilon)
+    raise ParseError("empty graph input")
 
 
 def oracle_weights(toks):

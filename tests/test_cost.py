@@ -1,4 +1,6 @@
 import math
+import sys
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -11,6 +13,8 @@ from hcratio import (
     HcTree,
     InvalidWeight,
     LeafMismatch,
+    base_cost,
+    binarize,
     cost_report,
     dasgupta_cost,
     enumerate_trees,
@@ -33,6 +37,7 @@ from helpers import (
     random_int_graph,
     random_nested,
     star_graph,
+    ultrametric_multi_tree,
 )
 
 
@@ -298,8 +303,104 @@ def integer_graph_and_tree(draw):
 @given(integer_graph_and_tree())
 @settings(max_examples=200, deadline=None)
 def test_integer_consistent_flag_matches_triplet_scan(case):
-    # on integer weights the flag is total == base, with no triplet scan
+    # on integer weights the flag comes from the node test, with no scan
     g, t = case
     expected = find_inconsistent_triplet(g, t) is None
     assert cost_report(g, t).consistent == expected
     assert is_consistent(g, t) == expected
+
+
+@st.composite
+def consistency_heavy_pairs(draw):
+    """Integer ultrametrics with their own, binarised or random trees.
+
+    Zero steps tie a node's inner and cross weights, a zero root level
+    makes wide root merges free, and one pair moved by +-1 or weights
+    scaled up to the int64 bound sit on either side of consistency.
+    """
+    n = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    W, nested = ultrametric_multi_tree(
+        rng, n, root_level=draw(st.integers(0, 1)),
+        steps=draw(st.sampled_from([(1, 2), (0, 1), (1,)])))
+    t = HcTree.from_nested(nested)
+    tree = draw(st.sampled_from(["own", "binarised", "random"]))
+    if tree == "binarised":
+        t = binarize(t)
+    elif tree == "random":
+        t = HcTree.from_nested(random_nested(rng, n))
+    if draw(st.booleans()):
+        # leave room for the +1 below the max x n^3 < 2^63 bound
+        W *= ((2**63 - 1) // n**3 - 1) // max(W.max(), 1)
+    if n > 1 and draw(st.booleans()):
+        i, j = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2,
+                                    max_size=2, unique=True)))
+        W[i, j] = W[j, i] = max(W[i, j] + draw(st.sampled_from([-1, 1])), 0)
+    return graph_from(W), t
+
+
+@given(consistency_heavy_pairs())
+@settings(max_examples=400, deadline=None)
+def test_consistency_certificate_matches_the_oracles(case):
+    g, t = case
+    rep = cost_report(g, t)
+    assert rep.base == oracle_base(g.weights)
+    assert rep.consistent == (find_inconsistent_triplet(g, t) is None)
+    assert rep.consistent == (rep.total == rep.base)
+    assert is_consistent(g, t) == rep.consistent
+    assert ratio_cost(g, t) == rep.ratio
+
+
+def spy_base_cost(monkeypatch):
+    """Count ``base_cost`` calls through every hcratio namespace binding it."""
+    calls = []
+
+    def counted(g):
+        calls.append(g.n)
+        return base_cost(g)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "hcratio" and \
+                getattr(module, "base_cost", None) is base_cost:
+            monkeypatch.setattr(module, "base_cost", counted)
+    return calls
+
+
+def test_consistent_integer_pairs_skip_base_cost(monkeypatch):
+    calls = spy_base_cost(monkeypatch)
+    n = 12
+    i = np.arange(n)
+    cat = n - np.maximum.outer(i, i)
+    np.fill_diagonal(cat, 0)
+    wide = np.zeros((6, 6), dtype=np.int64)  # a free three-way root merge
+    wide[0, 1] = wide[1, 0] = wide[2, 3] = wide[3, 2] = 4
+    W, nested = ultrametric_multi_tree(np.random.default_rng(5), 10)
+    pairs = [(graph_from(cat), caterpillar(n)),
+             (graph_from(wide), HcTree.from_nested(((0, 1), (2, 3), (4, 5)))),
+             (graph_from(W), binarize(HcTree.from_nested(nested)))]
+    for g, t in pairs:
+        rep = cost_report(g, t)
+        assert rep.consistent and rep.base == rep.total == oracle_base(g.weights)
+        assert rep.ratio == ratio_cost(g, t) == Fraction(1)
+        assert is_consistent(g, t)
+    assert calls == []
+
+    g, t = path_graph(5), caterpillar(5)
+    rep = cost_report(g, t)
+    assert calls == [5] and not rep.consistent
+    assert rep.base == oracle_base(g.weights) < rep.total
+    assert ratio_cost(g, t) == rep.ratio and calls == [5, 5]
+    assert not is_consistent(g, t) and calls == [5, 5]
+
+
+def test_cost_report_on_a_big_consistent_caterpillar_is_quadratic():
+    n = 2000
+    i = np.arange(n)
+    W = n - np.maximum.outer(i, i)
+    np.fill_diagonal(W, 0)
+    g, t = graph_from(W), caterpillar(n)
+    start = time.perf_counter()
+    rep = cost_report(g, t)
+    # a cubic base cost alone takes several seconds at this size
+    assert time.perf_counter() - start < 2.0
+    assert rep.consistent and rep.base == rep.total

@@ -1,3 +1,4 @@
+import re
 from contextlib import contextmanager
 from fractions import Fraction
 from unittest import mock
@@ -34,6 +35,7 @@ from helpers import (
     oracle_build_constraints,
     oracle_float_base,
     oracle_load_edge_list,
+    oracle_load_graph,
     oracle_load_matrix,
     oracle_minimal_valid_partition,
     oracle_weights,
@@ -175,6 +177,10 @@ GOOD_WEIGHTS = ["0", "1", "3", "12", "0.5", "2.25", "1e2", "007", "1_0",
                 str(2**63 - 1)]
 BAD_WEIGHTS = ["-1", "-0.5", "nan", "inf", "x", str(2**63), "9" * 30, "1e400"]
 FILLERS = ["", "   ", "# note", "#", "\t# 1 2 3"]
+# Every line boundary of str.splitlines, and whitespace str.split splits on.
+BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+          "\x85", "\u2028", "\u2029"]
+SPACES = [" ", "\t", "\x1f", "\xa0", "\u3000"]
 
 
 def outcome(load, text):
@@ -187,11 +193,19 @@ def outcome(load, text):
 
 
 def with_fillers(draw, lines):
+    """Lines with fillers and comments added, each space drawn from SPACES,
+    each line ended by a break from BREAKS, the last one maybe not."""
     for _ in range(draw(st.integers(0, 3))):
         lines.insert(draw(st.integers(0, len(lines))),
                      draw(st.sampled_from(FILLERS)))
     comment = st.sampled_from(["", "  # tail", "#x"])
-    return "\n".join(ln + draw(comment) if ln.strip() else ln for ln in lines)
+    lines = [ln + draw(comment) if ln.strip() else ln for ln in lines]
+    breaks = [draw(st.sampled_from(BREAKS)) for _ in lines]
+    if breaks and draw(st.booleans()):
+        breaks[-1] = ""
+    space = st.sampled_from(SPACES)
+    return "".join(re.sub(" ", lambda _: draw(space), ln) + brk
+                   for ln, brk in zip(lines, breaks))
 
 
 def test_float_base_cost_keeps_its_summation_order_to_the_bit():
@@ -261,6 +275,13 @@ def test_edge_list_loader_matches_record_oracle(text):
 @settings(max_examples=300, deadline=None)
 def test_matrix_loader_matches_row_oracle(text):
     assert outcome(load_matrix, text) == outcome(oracle_load_matrix, text)
+
+
+@given(edge_list_texts() | matrix_texts()
+       | st.sampled_from(["", " \t\n", "# only\r\n\x85  #", "\u20285 #x"]))
+@settings(max_examples=300, deadline=None)
+def test_load_graph_matches_line_oracle(text):
+    assert outcome(load_graph, text) == outcome(oracle_load_graph, text)
 
 
 # Tokens where the one-pass float read and the token-by-token read could
