@@ -1,4 +1,5 @@
 import re
+import string
 from contextlib import contextmanager
 from fractions import Fraction
 from unittest import mock
@@ -313,6 +314,179 @@ def test_float_weights_read_in_one_pass():
 def test_load_graph_autodetects():
     assert load_graph("2\n0 5\n5 0\n").weight(0, 1) == 5
     assert load_graph("u v 5\n").weight(0, 1) == 5
+
+
+# -- the byte reader of large edge lists --------------------------------------
+
+# The ASCII whitespace of str.split, and those of it that end a line for
+# str.splitlines.
+ASCII_BREAKS = "\n\x0b\x0c\r\x1c\x1d\x1e"
+ASCII_SPACES = "\t" + ASCII_BREAKS + "\x1f "
+INLINE_SPACES = "\t\x1f "
+# ASCII bytes that str.split keeps inside tokens but the byte reader declines.
+OUTSIDE_BYTES = [*range(0x00, 0x09), *range(0x0e, 0x1c), 0x7f]
+
+
+def benchmark_edge_list(n):
+    """Every pair of n vertices named ``v{i}``, with one- or two-digit
+    weights, the way the benchmark writes its edge lists."""
+    rows = [f"v{i} v{j} {i * j % 97}"
+            for i in range(n) for j in range(i + 1, n)]
+    return "# generated benchmark input\n" + "\n".join(rows) + "\n"
+
+
+BIG_EDGE_LIST = benchmark_edge_list(70)  # 2,415 records
+
+
+def test_byte_classes_pin_python_whitespace_and_line_breaks():
+    cls = graph_mod._BYTE_CLASS
+    space = {c for c in range(128)
+             if cls[c] in (graph_mod._SPACE, graph_mod._BREAK)}
+    breaks = {c for c in range(128) if cls[c] == graph_mod._BREAK}
+    assert space == set(map(ord, ASCII_SPACES))
+    assert breaks == set(map(ord, ASCII_BREAKS))
+    for c in range(128):
+        assert (c in space) == (f"a{chr(c)}b".split() == ["a", "b"])
+        assert (c in breaks) == (f"a{chr(c)}b".splitlines() == ["a", "b"])
+    # \x1f separates tokens but not lines
+    assert "a\x1fb".split() == ["a", "b"]
+    assert "a\x1fb".splitlines() == ["a\x1fb"]
+    outside = [c for c in range(256) if cls[c] == graph_mod._OTHER]
+    assert outside == OUTSIDE_BYTES + list(range(128, 256))
+
+
+@pytest.mark.parametrize("byte", OUTSIDE_BYTES)
+def test_control_bytes_are_token_bytes_left_to_the_general_reader(byte):
+    name = f"v{chr(byte)}5"
+    assert name.split() == [name]
+    text = BIG_EDGE_LIST.replace("\nv0 v5 ", f"\nv0 {name} ", 1)
+    assert text != BIG_EDGE_LIST
+    assert graph_mod._edge_bytes(graph_mod._COMMENT.sub("", text)) is None
+    g = load_edge_list(text)
+    assert name in g.labels
+    assert outcome(load_edge_list, text) == outcome(oracle_load_edge_list,
+                                                     text)
+
+
+def in_byte_lane(body):
+    """Whether the byte reader must read comment-free ``body``: at least 8
+    ASCII bytes, each whitespace or printable, some record, three tokens on
+    every non-blank line, names of at most 8 bytes and weights of at most 18
+    ASCII digits."""
+    if not body.isascii() or len(body) < 8:
+        return False
+    if not all(c.isspace() or c.isprintable() for c in body):
+        return False
+    records = [p for p in map(str.split, body.splitlines()) if p]
+    return bool(records) and all(
+        len(p) == 3 and len(p[0]) <= 8 and len(p[1]) <= 8 and p[2].isdigit()
+        and len(p[2]) <= 18 for p in records)
+
+
+@st.composite
+def byte_reader_texts(draw):
+    """Records of short names and digit weights, some out of the byte
+    reader's lane, separated by every ASCII space and break."""
+    # at most one of: names off the lane, weights off the lane, a NUL pair
+    odd = draw(st.sampled_from(["", "names", "weights", "nul"]))
+    chars = string.ascii_letters + string.digits + "+_"
+    if odd == "names":
+        name = st.text(chars + "\x00\x7f", min_size=1, max_size=10)
+    else:
+        name = st.text(chars, min_size=1, max_size=8)
+    names = draw(st.lists(name, min_size=2, max_size=6, unique=True))
+    if odd == "nul":
+        names.append(names[0] + "\x00")  # differs only by a trailing NUL
+    weight = st.text(string.digits, min_size=1, max_size=18)
+    if odd == "weights":
+        weight = st.text(string.digits, min_size=1, max_size=20) | (
+            st.sampled_from([str(2**63 - 1), str(2**63), "+5", "1_0", "0.5",
+                             "-1"]))
+    pairs = draw(st.lists(
+        st.tuples(st.sampled_from(names), st.sampled_from(names)).filter(
+            lambda t: t[0] != t[1]),
+        min_size=1, max_size=12, unique_by=frozenset))
+    lines = [[u, v, draw(weight)] for u, v in pairs]
+    if draw(st.integers(0, 2)) == 0:
+        u, v = draw(st.sampled_from(pairs))
+        # a record on two lines
+        split = u + draw(st.sampled_from(ASCII_BREAKS)) + v
+        bad = draw(st.sampled_from([[u, u, "1"], [v, u, "2"], [u, v],
+                                    [u, v, "1", "2"], [split, "3"]]))
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    gap = st.text(INLINE_SPACES, min_size=1, max_size=3)
+    comment = st.sampled_from(["", "", "#c", " # x y z"])
+    # a line boundary, maybe with blank or comment lines and spaces around it
+    space = st.text(INLINE_SPACES, max_size=2)
+    brk = st.lists(
+        st.tuples(space, comment, st.sampled_from([*ASCII_BREAKS, "\r\n"]),
+                  space).map("".join),
+        min_size=1, max_size=3).map("".join)
+    text = draw(st.sampled_from(["", " ", "\n", "#top\n"]))
+    for i, ln in enumerate(lines):
+        text += draw(gap).join(ln) + draw(comment)
+        if i + 1 < len(lines) or draw(st.booleans()):
+            text += draw(brk)
+    return text + draw(st.sampled_from(["", "", "# end", " #"]))
+
+
+@given(byte_reader_texts())
+@settings(max_examples=500, deadline=None)
+def test_byte_reader_matches_record_oracle(text):
+    body = graph_mod._COMMENT.sub("", text)
+    read = graph_mod._edge_bytes(body)
+    assert (read is not None) == in_byte_lane(body)
+    if read is not None:
+        got = outcome(lambda t: graph_mod._edge_graph(t, *read), text)
+        assert got == outcome(oracle_load_edge_list, text)
+
+
+def test_large_ascii_edge_list_takes_the_byte_reader():
+    assert len(BIG_EDGE_LIST) >= graph_mod._EDGE_BYTES_MIN
+    want = outcome(oracle_load_edge_list, BIG_EDGE_LIST)
+    assert want[0] == np.int64 and len(want[2]) == 70
+    with mock.patch.object(graph_mod, "_edge_tokens",
+                           side_effect=AssertionError("general reader")):
+        assert outcome(load_edge_list, BIG_EDGE_LIST) == want
+        assert outcome(load_graph, BIG_EDGE_LIST) == want
+
+
+def _set_record(text, k, line):
+    """``text`` with its record k (0-based, after the comment) replaced."""
+    lines = text.splitlines()
+    lines[k + 1] = line
+    return "\n".join(lines) + "\n"
+
+
+# Texts of the size of BIG_EDGE_LIST, and whether the byte reader reads them
+# (a self-loop or a repeated pair is found by the checks both readers share).
+SAME_SIZE = {
+    "non-ASCII name": (_set_record(BIG_EDGE_LIST, 1200, "v\u00e9 v1 3"),
+                       False),
+    "float weight": (_set_record(BIG_EDGE_LIST, 1200, "v20 v31 0.5"), False),
+    "9-byte name": (_set_record(BIG_EDGE_LIST, 1200, "v12345678 v1 3"),
+                    False),
+    "19-digit weight": (_set_record(BIG_EDGE_LIST, 1200,
+                                    "v20 v31 " + "5".zfill(19)), False),
+    "malformed last line": (BIG_EDGE_LIST + "v1 v2\n", False),
+    "self-loop last": (BIG_EDGE_LIST + "v3 v3 1\n", True),
+    "repeated pair last": (BIG_EDGE_LIST + "v2 v1 4\n", True),
+}
+
+
+@pytest.mark.parametrize("kind", SAME_SIZE)
+def test_same_size_text_off_the_byte_path_matches_oracle(kind):
+    text, read = SAME_SIZE[kind]
+    assert len(text) >= graph_mod._EDGE_BYTES_MIN
+    body = graph_mod._COMMENT.sub("", text)
+    assert (graph_mod._edge_bytes(body) is not None) == read
+    want = outcome(oracle_load_edge_list, text)
+    assert outcome(load_edge_list, text) == want
+    assert outcome(load_graph, text) == want
+    if "last" in kind:
+        assert want[1].startswith("line 2417: ")
+    else:
+        assert not isinstance(want[1], str)  # loads, as a graph
 
 
 # -- triplet classification --------------------------------------------------
