@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .detect import _components, _forced_links
+from .detect import _components, _forced_links, _groups
 from .errors import InvalidDelta
 from .graph import INT64_LIMIT, SimilarityGraph, _pair_maxima
 from .tree import HcTree, _split_top_down, binarize
@@ -128,18 +128,18 @@ def rtc_build(constraints, n: int) -> Optional[HcTree]:
         local = {v: x for x, v in enumerate(verts)}
         mine = inside.pop(verts)
         pairs = {c.pair for c in mine}
-        groups = _components(len(verts), [local[a] for a, _ in pairs],
-                             [local[b] for _, b in pairs])
-        if len(groups) == 1:
+        lab = _components(len(verts), [local[a] for a, _ in pairs],
+                          [local[b] for _, b in pairs])
+        if not lab.any():
             return None
-        parts = [tuple(verts[x] for x in grp) for grp in groups]
-        part_of = {v: p for p, part in enumerate(parts) for v in part}
-        inner: list[list] = [[] for _ in parts]
+        parts = _groups(lab, verts)
+        inner: dict[int, list] = {local[part[0]]: [] for part in parts}
+        lab = lab.tolist()
         for c in mine:  # a pair shares a part, so only its outsider can leave
-            p = part_of[c.pair[0]]
-            if part_of[c.outsider] == p:
-                inner[p].append(c)
-        inside.update(zip(parts, inner))
+            x = lab[local[c.pair[0]]]
+            if lab[local[c.outsider]] == x:
+                inner[x].append(c)
+        inside.update(zip(parts, inner.values()))
         return parts
 
     return _split_top_down(range(n), split)[0]
@@ -158,11 +158,9 @@ def approx_tree(g: SimilarityGraph, delta) -> Optional[HcTree]:
     W, forced = _forcing_rule(g, delta)
 
     def split(verts):
-        groups = _components(len(verts),
-                             *_forced_links(W[np.ix_(verts, verts)], forced))
-        if len(groups) == 1:
-            return None
-        return [tuple(verts[x] for x in grp) for grp in groups]
+        lab = _components(len(verts),
+                          *_forced_links(W[np.ix_(verts, verts)], forced))
+        return _groups(lab, verts) if lab.any() else None
 
     t = _split_top_down(range(g.n), split)[0]
     return None if t is None else binarize(t)

@@ -51,7 +51,8 @@ def _ratio_decimal(r) -> str:
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
+    # utf-8-sig drops a leading byte-order mark and reads all else as utf-8
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             return fh.read()
         except UnicodeDecodeError:

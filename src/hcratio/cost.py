@@ -148,25 +148,14 @@ def _consistent(W: np.ndarray, t: HcTree) -> bool:
     (b) if v has three or more children, every weight between two of
         them is 0.
 
-    The fold lists each subtree's leaves as one run, so with W in that
-    order the pairs a node joins are slices: one block between two
+    ``HcTree._leaf_runs`` lists each subtree's leaves as one run, so with W
+    in that order the pairs a node joins are slices: one block between two
     children, or each child's columns left and right of it.  ``inner``
     carries each leaf's least weight within its subtree up the tree.
     Each pair is read at its LCA only: O(n^2).  Weights are only
     compared, never summed.
     """
-    order, nodes = [], []  # nodes: (lo, hi, child spans), children first
-
-    def leaf(v):
-        order.append(v)
-        return len(order) - 1, len(order)
-
-    def node(spans):  # disjoint, so the least span starts the run
-        lo, hi = min(spans)[0], max(spans)[1]
-        nodes.append((lo, hi, spans))
-        return lo, hi
-
-    t._fold(leaf, node)
+    order, nodes = t._leaf_runs()
     P = W[np.ix_(order, order)]
     inner = np.full(len(W), W.max(initial=0))  # no pair within a leaf
     for lo, hi, spans in nodes:

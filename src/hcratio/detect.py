@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -54,7 +53,8 @@ Value = Union[int, float]
 
 
 class Partition:
-    """Disjoint nonempty vertex blocks; indexed ascending by smallest member."""
+    """Disjoint nonempty blocks covering 0..n-1; indexed ascending by smallest
+    member.  ``block_of`` is each vertex's block index, as an intp array."""
 
     __slots__ = ("blocks", "block_of", "_type2")
 
@@ -67,12 +67,16 @@ class Partition:
             raise ValueError("empty block")
         blocks.sort(key=lambda b: b[0])
         self.blocks: tuple[tuple[int, ...], ...] = tuple(blocks)
-        self.block_of: dict[int, int] = {}
+        n = sum(map(len, blocks))
+        block_of = [-1] * n
         for bi, b in enumerate(blocks):
             for v in b:
-                if v in self.block_of:
+                if not 0 <= v < n:
+                    raise ValueError(f"vertex {v} leaves a gap in 0..{n - 1}")
+                if block_of[v] != -1:
                     raise ValueError(f"vertex {v} in two blocks")
-                self.block_of[v] = bi
+                block_of[v] = bi
+        self.block_of = np.array(block_of, dtype=np.intp)
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -152,10 +156,6 @@ def _tied_apex(base, x, y, tie):
             & ~(tie(x, base) & tie(y, base)))
 
 
-def _block_labels(p: Partition, n: int) -> np.ndarray:
-    return np.array([p.block_of[v] for v in range(n)], dtype=np.intp)
-
-
 def _forced_links(W, rule):
     """(u, v) index arrays, u < v, of the pairs some third vertex forces.
 
@@ -200,11 +200,15 @@ def _type2_triplets(g: SimilarityGraph):
 # stage 1: minimal merge partition
 
 
-def _components(m: int, u, v) -> list[list[int]]:
-    """Groups of positions 0..m-1 joined by the links (u[t], v[t]).
+def _components(m: int, u, v) -> np.ndarray:
+    """Least member of each position's group, for positions 0..m-1 joined by
+    the links (u[t], v[t]), as an intp array.
 
-    Members ascending; groups ordered by smallest member.  A union-find with
-    path halving, on Python ints.
+    Two positions share a group exactly when their labels are equal, and a
+    group's label is its smallest position, so ordering groups by label
+    orders them by smallest member.  A union-find with path halving, on
+    Python ints; a union keeps the lesser root, so each root is its group's
+    least member.
     """
     parent = list(range(m))
 
@@ -217,10 +221,16 @@ def _components(m: int, u, v) -> list[list[int]]:
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
-    out: dict[int, list[int]] = {}
-    for x in range(m):
-        out.setdefault(find(x), []).append(x)
-    return list(out.values())
+    return np.array([find(x) for x in range(m)], dtype=np.intp)
+
+
+def _groups(labels, items) -> list[tuple]:
+    """``items`` grouped by ``_components`` labels: members in position
+    order, groups ordered by label, that is, by smallest member."""
+    out: dict[int, list] = {}
+    for x, item in zip(labels.tolist(), items):
+        out.setdefault(x, []).append(item)
+    return [tuple(grp) for grp in out.values()]
 
 
 def minimal_valid_partition(g: SimilarityGraph) -> Optional[Partition]:
@@ -245,25 +255,21 @@ def minimal_valid_partition(g: SimilarityGraph) -> Optional[Partition]:
     if n < 2:
         raise ValueError("need at least 2 vertices")
     tie = _tie(g)
-    groups = _components(n, *_forced_links(
+    lab = _components(n, *_forced_links(
         g.weights, lambda w, mx: _heaviest(w, mx, mx, tie)))
 
     type2 = _type2_triplets(g)
     apex, u, v = type2
-    while len(groups) > 1:
-        first = np.empty(n, dtype=np.intp)  # smallest member of each block
-        for grp in groups:
-            first[grp] = grp[0]
-        hit = (first[u] == first[v]) & (first[apex] != first[u])
+    while True:
+        hit = (lab[u] == lab[v]) & (lab[apex] != lab[u])
         if not hit.any():
             break
-        # the blocks so far, as links to their first members, and the merges
-        groups = _components(n, np.concatenate([np.arange(n), apex[hit]]),
-                             np.concatenate([first, u[hit]]))
+        # merge the blocks' least members, then relabel every vertex
+        lab = _components(n, lab[apex[hit]], lab[u[hit]])[lab]
 
-    if len(groups) == 1:
+    if not lab.any():
         return None
-    p = Partition(groups)
+    p = Partition(_groups(lab, range(n)))
     p._type2 = (g, type2)
     return p
 
@@ -277,7 +283,7 @@ def _crossing_type2(g: SimilarityGraph, p: Partition):
         apex, u, v = p._type2[1]
     else:
         apex, u, v = _type2_triplets(g)
-    lab = _block_labels(p, g.n)
+    lab = p.block_of
     ba, bu, bv = lab[apex], lab[u], lab[v]
     keep = (ba != bu) & (ba != bv) & (bu != bv)
     return apex[keep], u[keep], v[keep]
@@ -313,7 +319,7 @@ def detect_claw(g: SimilarityGraph, p: Partition) -> Optional[Claw]:
     # a Type-2 base already lies below its legs; keep the ones beyond a tie
     order = order[~tie(W[u, v], W[apex, u])[order]]
     apex, u, v = apex[order], u[order], v[order]
-    lab = _block_labels(p, g.n)
+    lab = p.block_of
     # each group of equal (apex, u) runs from one start to the next
     starts = np.flatnonzero(np.diff(apex, prepend=-1) | np.diff(u, prepend=-1))
     for s, e in zip(starts.tolist(), np.append(starts[1:], len(v)).tolist()):
@@ -339,41 +345,30 @@ def case2_bipartition(g: SimilarityGraph, p: Partition) -> Optional[Bipartition]
 
     Every two-tied-maxima triplet spanning three blocks (apex x, base u, v)
     forbids u's and v's blocks from sharing a side unless x joins them; with
-    whole blocks as units that forces the two base blocks apart.  Color by
-    BFS, lowest uncolored block rooted at color 0; an odd constraint cycle
-    means no split exists.  With no constraints at all, the lowest block is
-    split off alone.  The side containing block 0 is returned first.
+    whole blocks as units that forces the two base blocks apart.  Block b in
+    colour c is node 2b + c, and each constraint between blocks a and b
+    links (2a, 2b + 1) and (2a + 1, 2b).  An odd constraint cycle joins a
+    block's two nodes, and then no split exists.  Otherwise the least node
+    joined to 2b is the lowest block of b's constraint component in colour
+    0 or 1, so its parity is b's colour with that block at colour 0.  With
+    no constraints at all, the lowest block is split off alone.  The side
+    containing block 0 is returned first.
     """
     m = len(p.blocks)
     _, u, v = _crossing_type2(g, p)
-    lab = _block_labels(p, g.n)
-    apart = np.zeros((m, m), dtype=bool)
-    apart[lab[u], lab[v]] = True
-    apart |= apart.T
-    adj = [np.flatnonzero(row).tolist() for row in apart]
-
-    color = [-1] * m
-    for start in range(m):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            b = queue.popleft()
-            for nb in adj[b]:
-                if color[nb] == -1:
-                    color[nb] = 1 - color[b]
-                    queue.append(nb)
-                elif color[nb] == color[b]:
-                    return None  # odd cycle of constraints
-
-    if all(c == 0 for c in color):  # no constraints anywhere
-        rest = [v for b in p.blocks[1:] for v in b]
-        return Bipartition(p.blocks[0], tuple(rest))
-
-    side0 = [v for b in range(m) if color[b] == 0 for v in p.blocks[b]]
-    side1 = [v for b in range(m) if color[b] == 1 for v in p.blocks[b]]
-    return Bipartition(tuple(side0), tuple(side1))
+    # each pair of blocks (a, b) once, keyed a * m + b, through a set:
+    # numpy's sort would page in code that small inputs otherwise never touch
+    key = set((p.block_of[u] * m + p.block_of[v]).tolist())
+    pairs = [divmod(k, m) for k in key]
+    lab = _components(2 * m, [2 * a + c for a, _ in pairs for c in (0, 1)],
+                      [2 * b + 1 - c for _, b in pairs for c in (0, 1)])
+    if (lab[0::2] == lab[1::2]).any():
+        return None  # odd cycle of constraints
+    colour = lab[0::2] % 2
+    # no constraints anywhere: block 0 against the rest
+    side = colour[p.block_of] if colour.any() else p.block_of > 0
+    return Bipartition(tuple(np.flatnonzero(side == 0).tolist()),
+                       tuple(np.flatnonzero(side).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +393,7 @@ def case1_bipartition(g: SimilarityGraph, p: Partition) -> Optional[Bipartition]
     m = len(p.blocks)
     apex, _, _ = _crossing_type2(g, p)
     blocked = np.zeros(m, dtype=bool)
-    blocked[_block_labels(p, g.n)[apex]] = True
+    blocked[p.block_of[apex]] = True
     if blocked.all():
         return None
     b = int(np.argmin(blocked))  # lowest unblocked block
@@ -528,9 +523,9 @@ def _ultrametric_tree(g: SimilarityGraph) -> Optional[HcTree]:
         cy = comp[[y[i] for i in edges]].tolist()
         ids = sorted(set(cx + cy))
         pos = {c: i for i, c in enumerate(ids)}
-        for grp in _components(len(ids), [pos[c] for c in cx],
-                               [pos[c] for c in cy]):
-            kids = sorted((ids[i] for i in grp), key=first.__getitem__)
+        lab = _components(len(ids), [pos[c] for c in cx], [pos[c] for c in cy])
+        for grp in _groups(lab, ids):
+            kids = sorted(grp, key=first.__getitem__)
             verts = np.concatenate([members[c] for c in kids])
             cut = list(itertools.accumulate(len(members[c]) for c in kids))
             for lo, hi in zip(cut, cut[1:]):

@@ -98,6 +98,27 @@ class HcTree:
                 node([out[c] for c in self._children[u]])
         return out
 
+    def _leaf_runs(self):
+        """(leaves in fold order, [(lo, hi, child spans)] children first).
+
+        The fold lists each subtree's leaves as one run ``order[lo:hi]``, so
+        each internal node covers the run of its children's spans (half-open,
+        in child order).
+        """
+        order, nodes = [], []
+
+        def leaf(v):
+            order.append(v)
+            return len(order) - 1, len(order)
+
+        def node(spans):  # disjoint, so the least span starts the run
+            lo, hi = min(spans)[0], max(spans)[1]
+            nodes.append((lo, hi, spans))
+            return lo, hi
+
+        self._fold(leaf, node)
+        return order, nodes
+
     # -- construction ------------------------------------------------------
 
     @classmethod
@@ -203,23 +224,15 @@ class HcTree:
         n = self.n_leaves
         if self.vertices != tuple(range(n)):
             raise LeafMismatch("lca_leaf_counts needs leaves 0..n-1")
+        order, nodes = self._leaf_runs()
         P = np.ones((n, n), dtype=np.int64)  # indexed by position in `order`
-        order = []
-
-        def leaf(v):
-            order.append(v)
-            return len(order) - 1, len(order)
-
-        def blocks(spans):
+        while nodes:  # popped, so the spans are freed before the gather
+            lo, hi, spans = nodes.pop()
             # every pair split between two children has this node as its LCA
-            lo, hi = min(s[0] for s in spans), max(s[1] for s in spans)
             for a, (la, ha) in enumerate(spans):
                 for lb, hb in spans[a + 1:]:
                     P[la:ha, lb:hb] = hi - lo
                     P[lb:hb, la:ha] = hi - lo
-            return lo, hi
-
-        self._fold(leaf, blocks)
         rank = np.empty(n, dtype=np.intp)
         rank[order] = np.arange(n)
         return P[np.ix_(rank, rank)]

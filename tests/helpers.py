@@ -5,6 +5,7 @@ different route than the library's vectorized implementations, so the two
 can disagree when one is wrong.
 """
 
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 from unittest import mock
@@ -20,6 +21,7 @@ from hcratio import (
     SimilarityGraph,
     base_cost,
     build_bisection,
+    detect,
     triplet_type,
 )
 from hcratio.approx import RootedTripletConstraint, _delta_squared
@@ -34,7 +36,6 @@ from hcratio.detect import (
     Bipartition,
     Claw,
     Partition,
-    _block_labels,
     _crossing_type2,
     case2_bipartition,
     detect_claw,
@@ -472,6 +473,46 @@ def oracle_crossing_type2(g, p):
     return cols[:, 0], cols[:, 1], cols[:, 2]
 
 
+def oracle_case2_bipartition(g, p):
+    """``case2_bipartition`` by breadth-first 2-colouring of the blocks.
+
+    Each crossing Type-2 base (``detect._crossing_type2``, looked up at call
+    time) keeps its two blocks apart; the lowest uncoloured block roots each
+    search at colour 0, and an odd constraint cycle means no split.  With no
+    constraints the lowest block is split off alone.
+    """
+    m = len(p.blocks)
+    _, u, v = detect._crossing_type2(g, p)
+    lab = p.block_of
+    apart = np.zeros((m, m), dtype=bool)
+    apart[lab[u], lab[v]] = True
+    apart |= apart.T
+    adj = [np.flatnonzero(row).tolist() for row in apart]
+
+    color = [-1] * m
+    for start in range(m):
+        if color[start] != -1:
+            continue
+        color[start] = 0
+        queue = deque([start])
+        while queue:
+            b = queue.popleft()
+            for nb in adj[b]:
+                if color[nb] == -1:
+                    color[nb] = 1 - color[b]
+                    queue.append(nb)
+                elif color[nb] == color[b]:
+                    return None  # odd cycle of constraints
+
+    if all(c == 0 for c in color):  # no constraints anywhere
+        rest = [v for b in p.blocks[1:] for v in b]
+        return Bipartition(p.blocks[0], tuple(rest))
+
+    side0 = [v for b in range(m) if color[b] == 0 for v in p.blocks[b]]
+    side1 = [v for b in range(m) if color[b] == 1 for v in p.blocks[b]]
+    return Bipartition(tuple(side0), tuple(side1))
+
+
 def oracle_detect_claw(g, p):
     """First claw in ascending (apex, leaves) order, one quadruple at a time.
 
@@ -564,7 +605,7 @@ def oracle_case1_bipartition(g, p, claw):
                 queue.append(other)
 
     apex, _, _ = _crossing_type2(g, p)
-    blocked = set(_block_labels(p, g.n)[apex].tolist())
+    blocked = set(p.block_of[apex].tolist())
     for b in sorted(comp):
         if b not in blocked:
             rest = [v for ob in range(m) if ob != b for v in p.blocks[ob]]

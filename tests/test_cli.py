@@ -303,6 +303,27 @@ def test_non_utf8_files_are_reported(capsys, p4, tmp_path):
     assert err == f"error: {bad}: not UTF-8 text\n"
 
 
+@pytest.mark.parametrize("command, texts", [
+    ("detect", ["a b 1\nb c 2\na c 1\n"]),
+    ("detect", ["3\n0 1 1\n1 0 2\n1 2 0\n"]),
+    ("cost", [P4_EDGES, "((0,1),(2,3));\n"]),
+], ids=["edge-list", "matrix", "newick"])
+def test_byte_order_mark_changes_nothing(capsys, tmp_path, command, texts):
+    # the same files, once with a UTF-8 byte-order mark on the last
+    results = []
+    for mark in ("", "\ufeff"):
+        paths = []
+        for i, text in enumerate(texts):
+            f = tmp_path / f"{len(mark)}-{i}.txt"
+            f.write_text(mark * (i == len(texts) - 1) + text, encoding="utf-8")
+            paths.append(str(f))
+        code, out, _ = run(capsys, command, *paths)
+        results.append((code, out))
+    assert Path(paths[-1]).read_bytes().startswith(b"\xef\xbb\xbf")
+    assert results[0][0] == 0
+    assert results[1] == results[0]
+
+
 @pytest.mark.parametrize("command", ["detect", "brute"])
 def test_empty_matrix_is_reported(capsys, tmp_path, command):
     g = tmp_path / "empty.txt"

@@ -42,6 +42,7 @@ from helpers import (
     linked_stars,
     matching_graph,
     oracle_build_bisection,
+    oracle_case2_bipartition,
     oracle_crossing_type2,
     oracle_detect_claw,
     oracle_is_ultrametric,
@@ -73,15 +74,26 @@ def blocks_of(p):
 def test_partition_sorted_and_indexed():
     p = Partition([{3, 2}, {0}, {1, 4}])
     assert p.blocks == ((0,), (1, 4), (2, 3))
-    assert p.block_of[4] == 1 and p.block_of[3] == 2
+    assert p.block_of.dtype == np.intp
+    assert p.block_of.tolist() == [0, 1, 2, 2, 1]
     assert len(p) == 3
 
 
 def test_partition_rejects_overlap_and_empty():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="vertex 1 in two blocks"):
         Partition([{0, 1}, {1, 2}])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="vertex 0 in two blocks"):
+        Partition([[0, 0]])
+    with pytest.raises(ValueError, match="empty block"):
         Partition([{0}, set()])
+
+
+def test_partition_rejects_a_gap():
+    # the blocks must cover 0..n-1, n their total size
+    with pytest.raises(ValueError, match="gap"):
+        Partition([{0}, {2}])
+    with pytest.raises(ValueError, match="gap"):
+        Partition([{-1}, {0}])
 
 
 def test_bipartition_normalizes_and_validates():
@@ -180,23 +192,26 @@ def test_partition_matches_independent_closure():
 
 
 def naive_components(m, links):
-    """Groups of 0..m-1: each link gives both ends' groups the lesser label."""
+    """Label of each of 0..m-1: each link gives both ends' groups the lesser
+    label, so a group's label ends as its least member."""
     label = list(range(m))
     for a, b in links:
         ends = (label[a], label[b])
         label = [min(ends) if lab in ends else lab for lab in label]
-    return [[x for x in range(m) if label[x] == r] for r in sorted(set(label))]
+    return label
 
 
 def test_components_match_naive_relabelling():
     rng = np.random.default_rng(31)
-    assert _components(1, [], []) == [[0]]
-    assert _components(3, np.array([], dtype=np.intp), []) == [[0], [1], [2]]
+    one = _components(1, [], [])
+    assert one.dtype == np.intp and one.tolist() == [0]
+    assert _components(3, np.array([], dtype=np.intp), []).tolist() == [0, 1, 2]
+    assert _components(5, [4, 3], [3, 1]).tolist() == [0, 1, 2, 1, 1]
     for _ in range(200):
         m = int(rng.integers(1, 12))
         links = rng.integers(0, m, size=(int(rng.integers(0, 2 * m)), 2))
         got = _components(m, links[:, 0], links[:, 1])
-        assert got == naive_components(m, links.tolist())
+        assert got.tolist() == naive_components(m, links.tolist())
 
 
 def test_partition_is_fixpoint():
@@ -416,6 +431,56 @@ def test_case2_no_constraints_peels_lowest_block():
     p = minimal_valid_partition(g)
     bp = case2_bipartition(g, p)
     assert bp == Bipartition((0,), (1, 2, 3, 4))
+
+
+@st.composite
+def partitions_with_crossing_bases(draw):
+    """A hand-built partition of 1-12 blocks and (apex, u, v) arrays whose
+    three vertices sit in three distinct blocks, in any number, repeats
+    included."""
+    m = draw(st.integers(1, 12))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=m, max_size=m))
+    perm = draw(st.permutations(range(sum(sizes))))
+    cuts = np.cumsum([0] + sizes).tolist()
+    blocks = [perm[a:b] for a, b in zip(cuts, cuts[1:])]
+    triples = []
+    if m >= 3:
+        picks = draw(st.lists(st.permutations(range(m)).map(lambda q: q[:3]),
+                              max_size=2 * m))
+        picks += draw(st.lists(st.sampled_from(picks), max_size=m)) \
+            if picks else []
+        for bs in picks:  # one vertex from each of the three blocks
+            x, a, b = (draw(st.sampled_from(blocks[i])) for i in bs)
+            triples.append((x, min(a, b), max(a, b)))
+    cols = np.array(triples, dtype=np.intp).reshape(-1, 3)
+    return Partition(blocks), (cols[:, 0], cols[:, 1], cols[:, 2])
+
+
+def test_case2_colouring_small_cases():
+    p = Partition([[v] for v in range(4)])
+    triangle = (np.array([3, 3, 3]), np.array([0, 1, 0]), np.array([1, 2, 2]))
+    path = (np.array([3, 3, 0]), np.array([0, 1, 1]), np.array([1, 2, 2]))
+    with mock.patch.object(detect, "_crossing_type2", lambda g, p: triangle):
+        assert case2_bipartition(None, p) is None
+    with mock.patch.object(detect, "_crossing_type2", lambda g, p: path):
+        # block 3 is isolated and takes colour 0, with the path's ends
+        assert case2_bipartition(None, p) == Bipartition((0, 2, 3), (1,))
+
+
+@given(partitions_with_crossing_bases())
+@settings(max_examples=400, deadline=None)
+def test_case2_colouring_matches_bfs_oracle(case):
+    p, crossing = case
+
+    def outcome(split):  # a lone block has no two-sided split: both raise
+        try:
+            return split(None, p)
+        except ValueError as e:
+            return str(e)
+
+    # the graph is read only by _crossing_type2, which is replaced here
+    with mock.patch.object(detect, "_crossing_type2", lambda g, p: crossing):
+        assert outcome(case2_bipartition) == outcome(oracle_case2_bipartition)
 
 
 def test_case2_output_respects_constraints():
