@@ -356,12 +356,13 @@ def case2_bipartition(g: SimilarityGraph, p: Partition) -> Optional[Bipartition]
     """
     m = len(p.blocks)
     _, u, v = _crossing_type2(g, p)
-    # each pair of blocks (a, b) once, keyed a * m + b, through a set:
-    # numpy's sort would page in code that small inputs otherwise never touch
-    key = set((p.block_of[u] * m + p.block_of[v]).tolist())
-    pairs = [divmod(k, m) for k in key]
-    lab = _components(2 * m, [2 * a + c for a, _ in pairs for c in (0, 1)],
-                      [2 * b + 1 - c for _, b in pairs for c in (0, 1)])
+    # each pair of blocks (a, b) once, through an m x m mask rather than a
+    # sort, whose code small inputs otherwise never page in
+    linked = np.zeros((m, m), dtype=bool)
+    linked[p.block_of[u], p.block_of[v]] = True
+    a, b = np.nonzero(linked)
+    lab = _components(2 * m, np.concatenate([2 * a, 2 * a + 1]),
+                      np.concatenate([2 * b + 1, 2 * b]))
     if (lab[0::2] == lab[1::2]).any():
         return None  # odd cycle of constraints
     colour = lab[0::2] % 2
@@ -431,8 +432,7 @@ def zero_base_cost_tree(g: SimilarityGraph) -> HcTree:
     strung along a caterpillar spine in ascending vertex order.
     """
     ii, jj = g.positive_pairs()
-    degree = np.bincount(np.concatenate([ii, jj]), minlength=g.n) \
-        if len(ii) else np.zeros(g.n, dtype=np.int64)
+    degree = np.bincount(np.concatenate([ii, jj]), minlength=g.n)
     if (degree > 1).any():
         bad = int(np.argmax(degree > 1))
         raise NotZeroBase(f"vertex {bad} has {int(degree[bad])} positive edges")

@@ -9,8 +9,6 @@ all triplets.
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -347,51 +345,50 @@ def load_edge_list(text: str, epsilon: float = 0.0) -> SimilarityGraph:
     InvalidWeight on bad records, for the first bad line in the file.
 
     Two readers turn the comment-free text into vertex ids, weights and
-    labels.  Large ASCII lists of short names and integer weights go to the
-    byte reader (``_edge_bytes``); any text it declines goes to the general
-    one, which gathers the records as one flat token list (``_edge_tokens``)
-    and names them by a dict.  Both feed the same checks (``_edge_graph``).
+    labels, or decline it.  Large ASCII lists of short names and integer
+    weights go to the byte reader (``_edge_bytes``); any text it declines
+    goes to the general one (``_edge_tokens``).  Both leave self-loops and
+    repeated pairs to whole-array checks here.  A file that is declined or
+    fails a check is walked line by line for its first bad record.
     """
     body = _COMMENT.sub("", text)
     read = _edge_bytes(body) if len(body) >= _EDGE_BYTES_MIN else None
-    malformed = None
     if read is None:
-        toks, malformed = _edge_tokens(body, text)
-        wtoks = toks[2::3]
-        del toks[2::3]  # toks now holds u0, v0, u1, v1, ...
-        index = {name: i for i, name in enumerate(dict.fromkeys(toks))}
-        ends = np.fromiter(map(index.__getitem__, toks), dtype=np.intp,
-                           count=len(toks)).reshape(-1, 2)
-        read = ends, _weights(wtoks)[0], list(index)
-    return _edge_graph(text, *read, epsilon=epsilon, malformed=malformed)
+        read = _edge_tokens(body)
+    if read is not None:
+        ends, w, labels = read
+        n = len(labels)
+        lo = np.minimum(ends[:, 0], ends[:, 1])
+        hi = np.maximum(ends[:, 0], ends[:, 1])
+        # counting the pairs rules repeats out without a sort (numpy's sorts
+        # page in a few hundred KB of code on first use)
+        if (lo < hi).all() and (not n or np.bincount(lo * n + hi).max() < 2):
+            mat = np.zeros((n, n), dtype=w.dtype)
+            mat[lo, hi] = w
+            mat[hi, lo] = w
+            return SimilarityGraph(mat, labels=labels, epsilon=epsilon)
+    _raise_first_bad_record(text)
 
 
-def _edge_graph(text: str, ends: np.ndarray, w: np.ndarray,
-                labels: list[str], epsilon: float = 0.0,
-                malformed: Optional[tuple[int, str]] = None
-                ) -> SimilarityGraph:
-    """The graph of the records read from ``text``, or the first bad record's
-    error.
-
-    ``ends`` holds each record's two vertex ids, ``w`` the weights of the
-    records before the first bad weight, and ``labels`` the names of the
-    ids.  ``malformed`` is the line that ended the reading, whose error is
-    raised only when no record before it is bad.
-    """
-    m = len(ends)
-    n = len(labels)
-    lo = np.minimum(ends[:, 0], ends[:, 1])
-    hi = np.maximum(ends[:, 0], ends[:, 1])
-    bad = min(len(w), _first(lo == hi, m), _first_repeat(lo * n + hi, m))
-    if bad < m:
-        _raise_edge_error(text, bad)
-    if malformed is not None:
-        lineno, raw = malformed
-        raise ParseError(f"line {lineno}: expected 'u v w', got {raw!r}")
-    mat = np.zeros((n, n), dtype=w.dtype)
-    mat[lo, hi] = w
-    mat[hi, lo] = w
-    return SimilarityGraph(mat, labels=labels, epsilon=epsilon)
+def _raise_first_bad_record(text: str):
+    """Raise the error of the first bad record of an edge list known to hold
+    one, checking each line as it comes: token count, self-loop, weight,
+    repeated pair."""
+    seen = set()
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
+            continue
+        if len(parts) != 3:
+            raise ParseError(f"line {lineno}: expected 'u v w', got {raw!r}")
+        u, v, wtok = parts
+        if u == v:
+            raise SelfLoop(f"line {lineno}: self-loop on {u!r}")
+        _parse_weight(wtok, lineno)
+        key = (u, v) if u <= v else (v, u)
+        if key in seen:
+            raise DuplicateEdge(f"line {lineno}: pair {u!r},{v!r} repeated")
+        seen.add(key)
 
 
 # Text up to the next line boundary of ``str.splitlines``, and a comment.
@@ -399,32 +396,30 @@ _LINE = re.compile(r"[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*")
 _COMMENT = re.compile("#" + _LINE.pattern)
 
 
-def _edge_tokens(body: str,
-                 text: str) -> tuple[list[str], Optional[tuple[int, str]]]:
-    """Record tokens u0, v0, w0, u1, ..., and the first malformed line.
+def _edge_tokens(
+        body: str) -> Optional[tuple[np.ndarray, np.ndarray, list[str]]]:
+    """``(ends, w, labels)`` of the comment-free ``body``, or None when some
+    non-blank line does not hold three tokens or some weight is bad.
 
-    ``body`` is ``text`` with its comments removed.  The malformed line is
-    (line number, raw line), or None when every non-blank line of ``body``
-    holds exactly three tokens.  That is decided by one ``split`` of the
-    whole body: it holds no '#', so the '#' closing each non-blank line are
-    the only '#' tokens, and must be every fourth token.  Only text that
-    fails is walked line by line, gathering the records before its first
-    malformed line.
+    The line structure is decided by one ``split`` of the whole body: it
+    holds no '#', so the '#' closing each non-blank line are the only '#'
+    tokens, and must be every fourth token.  Vertex ids follow first
+    appearance, through a dict of the names.
     """
     lines = list(filter(str.strip, body.splitlines()))
     toks = " # ".join(lines + [""]).split()
     marks = toks[3::4]
     del toks[3::4]
-    if marks.count("#") == len(marks) == len(lines):
-        return toks, None
-    toks = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        parts = raw.split("#", 1)[0].split()
-        if len(parts) == 3:
-            toks += parts
-        elif parts:
-            return toks, (lineno, raw)
-    return toks, None
+    if not marks.count("#") == len(marks) == len(lines):
+        return None
+    w = _weights(toks[2::3])
+    if w is None:
+        return None
+    del toks[2::3]  # toks now holds u0, v0, u1, v1, ...
+    index = {name: i for i, name in enumerate(dict.fromkeys(toks))}
+    ends = np.fromiter(map(index.__getitem__, toks), dtype=np.intp,
+                       count=len(toks)).reshape(-1, 2)
+    return ends, w, list(index)
 
 
 # Byte classes of the byte reader, taken from Python's own rules: whitespace
@@ -566,22 +561,6 @@ def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rank[ids], first[order]
 
 
-def _raise_edge_error(text: str, record: int):
-    """Raise the error of the given record (0-based), known to be bad.
-
-    The checks run in the order a per-line parse meets them: self-loop,
-    then the weight, then the repeated pair.
-    """
-    lines = ((lineno, raw.split("#", 1)[0].split())
-             for lineno, raw in enumerate(text.splitlines(), 1))
-    records = ((lineno, parts) for lineno, parts in lines if parts)
-    lineno, (u, v, wtok) = next(itertools.islice(records, record, None))
-    if u == v:
-        raise SelfLoop(f"line {lineno}: self-loop on {u!r}")
-    _parse_weight(wtok, lineno)
-    raise DuplicateEdge(f"line {lineno}: pair {u!r},{v!r} repeated")
-
-
 def load_matrix(text: str, epsilon: float = 0.0) -> SimilarityGraph:
     """Parse the square-matrix format: a line with n, then n rows of n values.
 
@@ -604,30 +583,28 @@ def load_matrix(text: str, epsilon: float = 0.0) -> SimilarityGraph:
     if len(lines) != n + 1:
         raise ParseError(f"expected {n} matrix rows, found {len(lines) - 1}")
     toks: list[str] = []
-    widths = []
+    widths = set()
     for ln in lines[1:]:
         parts = ln.split()
         toks += parts
-        widths.append(len(parts))
-    starts = list(itertools.accumulate(widths, initial=0))
-    w, bad = _weights(toks)
-    # row of the first bad token: the last row starting at or before it
-    r = min(bisect.bisect_right(starts, bad) - 1,
-            _first(np.array(widths) != n, n))
-    if r < n:
-        for tok in lines[r + 1].split():
-            _parse_weight(tok, r + 1)
-        raise ParseError(f"row {r + 1}: expected {n} values, got {widths[r]}")
+        widths.add(len(parts))
+    w = _weights(toks)
+    if w is None or widths != {n}:
+        for r, ln in enumerate(lines[1:], 1):
+            parts = ln.split()
+            for tok in parts:
+                _parse_weight(tok, r)
+            if len(parts) != n:
+                raise ParseError(f"row {r}: expected {n} values, got {len(parts)}")
     return SimilarityGraph(w.reshape(n, n), epsilon=epsilon)
 
 
-def _weights(toks: list[str]) -> tuple[np.ndarray, int]:
-    """Weights of the leading good tokens, and the index of the first bad one.
+def _weights(toks: list[str]) -> Optional[np.ndarray]:
+    """The weights of ``toks``, or None when some token is a bad weight.
 
-    The index is len(toks) when every token is a good weight.  The array is
-    int64 unless some token reads as a float, then float64.  Tokens go
-    through ``int`` in one pass, then through ``float`` in one pass;
-    ``_parse_weight`` reads them one at a time only when both fail.
+    The array is int64 unless some token reads as a float, then float64.
+    Tokens go through ``int`` in one pass, then through ``float`` in one
+    pass; ``_parse_weight`` reads them one at a time only when both fail.
     Building the int64 array from the strings calls ``int`` on each, so
     ``1_0`` and ``+5`` read as numbers and 2**63 overflows.
     """
@@ -636,17 +613,14 @@ def _weights(toks: list[str]) -> tuple[np.ndarray, int]:
     except (ValueError, OverflowError):
         w = _float_weights(toks)
         if w is not None:
-            return w, len(toks)
-        vals = []
-        for tok in toks:
-            try:
-                vals.append(_parse_weight(tok, 0))
-            except ParseError:
-                break
+            return w
+        try:
+            vals = [_parse_weight(tok, 0) for tok in toks]
+        except ParseError:
+            return None
         floaty = any(isinstance(v, float) for v in vals)
-        return np.array(vals, dtype=np.float64 if floaty else np.int64), len(vals)
-    bad = _first(w < 0, len(w))
-    return w[:bad], bad
+        return np.array(vals, dtype=np.float64 if floaty else np.int64)
+    return None if (w < 0).any() else w
 
 
 def _float_weights(toks: list[str]) -> Optional[np.ndarray]:
@@ -655,8 +629,7 @@ def _float_weights(toks: list[str]) -> Optional[np.ndarray]:
     Called once ``int`` has failed on some token, so a good list holds a
     float token and reads as float64.  Every value must be finite, have no
     sign bit (the token-by-token path reads ``-0`` as 0) and lie below 2**63
-    (where an int token does not fit int64); otherwise that path decides,
-    with its errors and first bad index.
+    (where an int token does not fit int64); otherwise that path decides.
     """
     try:
         w = np.fromiter(map(float, toks), dtype=np.float64, count=len(toks))
@@ -665,28 +638,6 @@ def _float_weights(toks: list[str]) -> Optional[np.ndarray]:
     if np.all(np.isfinite(w) & ~np.signbit(w) & (w < INT64_LIMIT)):
         return w
     return None
-
-
-def _first(mask: np.ndarray, default: int) -> int:
-    """Index of the first true entry of ``mask``, or ``default``."""
-    hits = np.flatnonzero(mask)
-    return int(hits[0]) if len(hits) else default
-
-
-def _first_repeat(keys: np.ndarray, default: int) -> int:
-    """Index of the first key equal to an earlier one, or ``default``.
-
-    Keys are nonnegative.  A count per key rules repeats out without sorting
-    (numpy's sorts page in a few hundred KB of code on first use); only a
-    repeat walks the keys.
-    """
-    if len(keys) and np.bincount(keys).max() > 1:
-        seen = set()
-        for i, k in enumerate(keys.tolist()):
-            if k in seen:
-                return i
-            seen.add(k)
-    return default
 
 
 def load_graph(text: str, epsilon: float = 0.0) -> SimilarityGraph:

@@ -297,17 +297,20 @@ WEIGHT_TOKENS = GOOD_WEIGHTS + BAD_WEIGHTS + [
        | st.lists(st.sampled_from(GOOD_WEIGHTS), max_size=12))
 @settings(max_examples=1000, deadline=None)
 def test_weights_match_token_oracle(toks):
-    w, bad = graph_mod._weights(toks)
+    w = graph_mod._weights(toks)
     want, want_bad = oracle_weights(toks)
-    assert (w.dtype, w.tobytes(), bad) == (want.dtype, want.tobytes(), want_bad)
+    if want_bad < len(toks):
+        assert w is None
+    else:
+        assert (w.dtype, w.tobytes()) == (want.dtype, want.tobytes())
 
 
 def test_float_weights_read_in_one_pass():
     toks = ["0.5", "2", "1e2"] * 400
     with mock.patch.object(graph_mod, "_parse_weight",
                            side_effect=AssertionError("token-by-token read")):
-        w, bad = graph_mod._weights(toks)
-    assert w.dtype == np.float64 and bad == len(toks)
+        w = graph_mod._weights(toks)
+    assert w.dtype == np.float64 and len(w) == len(toks)
     assert w[:3].tolist() == [0.5, 2.0, 100.0]
 
 
@@ -437,7 +440,10 @@ def test_byte_reader_matches_record_oracle(text):
     read = graph_mod._edge_bytes(body)
     assert (read is not None) == in_byte_lane(body)
     if read is not None:
-        got = outcome(lambda t: graph_mod._edge_graph(t, *read), text)
+        with mock.patch.object(graph_mod, "_EDGE_BYTES_MIN", 0), \
+                mock.patch.object(graph_mod, "_edge_tokens",
+                                  side_effect=AssertionError("general reader")):
+            got = outcome(load_edge_list, text)
         assert got == outcome(oracle_load_edge_list, text)
 
 
@@ -471,6 +477,13 @@ SAME_SIZE = {
     "malformed last line": (BIG_EDGE_LIST + "v1 v2\n", False),
     "self-loop last": (BIG_EDGE_LIST + "v3 v3 1\n", True),
     "repeated pair last": (BIG_EDGE_LIST + "v2 v1 4\n", True),
+    # two faults: the error names the earlier record, whichever fault made
+    # the reader decline or a check fail
+    "repeated pair at 100, malformed last line": (
+        _set_record(BIG_EDGE_LIST, 100, "v1 v0 7") + "v1 v2\n", False),
+    "self-loop at 50, float weight at 1200": (
+        _set_record(_set_record(BIG_EDGE_LIST, 50, "v4 v4 1"), 1200,
+                    "v20 v31 0.5"), False),
 }
 
 
@@ -483,7 +496,10 @@ def test_same_size_text_off_the_byte_path_matches_oracle(kind):
     want = outcome(oracle_load_edge_list, text)
     assert outcome(load_edge_list, text) == want
     assert outcome(load_graph, text) == want
-    if "last" in kind:
+    at = re.search(r" at (\d+)", kind)
+    if at:  # record k is on line k + 2
+        assert want[1].startswith(f"line {int(at[1]) + 2}: ")
+    elif "last" in kind:
         assert want[1].startswith("line 2417: ")
     else:
         assert not isinstance(want[1], str)  # loads, as a graph

@@ -1,8 +1,10 @@
-"""No module in the package or the tests imports a name it never uses.
+"""No module in the package or the tests imports a name it never uses, and
+no private helper of the package is left unread.
 
-A stdlib stand-in for a linter's unused-import rule.  Every name an import
-binds must be read somewhere in its module; names listed in ``__all__`` and
-``from __future__`` imports count as used.
+A stdlib stand-in for a linter's unused-import and dead-code rules.  Every
+name an import binds must be read somewhere in its module; names listed in
+``__all__`` and ``from __future__`` imports count as used.  Every
+module-level ``_name`` of the package must be read somewhere in the package.
 """
 
 import ast
@@ -51,3 +53,49 @@ def test_checker_flags_only_unread_names():
                          ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_name`` defs, classes and constants of the sources
+    that no source reads, as 'module.name'.
+
+    A name is read where it is loaded, taken as an attribute or imported.
+    """
+    defined = []
+    read: set[str] = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for target in node.targets
+                         for t in ast.walk(target) if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign):
+                names = [node.target.id]
+            else:
+                continue
+            defined += [(module, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    return [f"{module}.{name}" for module, name in defined if name not in read]
+
+
+def test_private_checker_flags_only_unread_names():
+    sources = {"a": ("_A, _B = 1, 2\n_C: int = 3\n__all__ = []\n"
+                     "def _f(): return _A\nclass _K: pass\n"
+                     "def _g(): pass\n"),
+               "b": "from .a import _g\nimport a\nprint(a._K)\n"}
+    assert unread_private_names(sources) == ["a._B", "a._C", "a._f"]
+
+
+def test_no_unread_private_names():
+    sources = {p.stem: p.read_text(encoding="utf-8")
+               for p in (ROOT / "src" / "hcratio").glob("*.py")}
+    assert unread_private_names(sources) == []
