@@ -207,7 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--epsilon", type=float, default=argparse.SUPPRESS,
                         help="weight-equality tolerance (default 0: exact)")
     shared.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
-                        help="worker cap for parallel stages (default 1)")
+                        help="must be >= 1; no stage starts worker threads, "
+                             "so output is the same for any value (default 1)")
     shared.add_argument("--records", action="store_true",
                         default=argparse.SUPPRESS,
                         help="machine-readable tab-separated output")
@@ -267,8 +268,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except HcratioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, MemoryError) as exc:
+        # an n within the n^3 < 2^63 bound may still not fit in memory;
+        # exit 1 would read as a negative verdict
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

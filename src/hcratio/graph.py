@@ -303,7 +303,8 @@ def _level_base_cost(W: np.ndarray, levels: list[int]) -> int:
     total = 0
     below = 0
     for t in levels:
-        total += (t - below) * _unit_base_cost((W >= t).astype(np.float32))
+        U = np.triu(W >= t, 1).astype(np.float32)
+        total += (t - below) * _unit_base_cost(U)
         below = t
     return total
 
@@ -312,29 +313,32 @@ def _level_base_cost(W: np.ndarray, levels: list[int]) -> int:
 _PRODUCT_BLOCK_ENTRIES = 2**23
 
 
-def _unit_base_cost(A: np.ndarray) -> int:
-    """Exact base cost of a graph given as a float32 0/1 adjacency matrix.
+def _unit_base_cost(U: np.ndarray) -> int:
+    """Exact base cost of the 0/1 graph U + U^T, U a strict upper triangle.
 
-    base = wedges - triangles = sum_v C(deg v, 2) - tr(A^3) / 6.  Degrees
-    are integers; tr(A^3) sums ``(A[R] @ A) * A[R]`` over row blocks R, so
-    the full product never exists.  Exact while n^3 < 2^63 (every n the
-    integer weight bound admits): the n wedge counts, each below n^2, sum
-    in int64; the product's entries are integers of at most n < 2^24,
-    exact in float32; and a block of |R| rows, |R| * n <= 2^23 or |R| = 1,
-    sums to at most |R| * n^2 < 2^53, exact in float64.
+    base = wedges - triangles.  Wedges are sum_v C(deg v, 2), deg v the row
+    plus the column sum of float32 U.  Triangle i < j < k counts once, at
+    U[i, j], in (U U^T)[i, j], the common later neighbours of i and j; as
+    U[i, k] = 0 for k <= i, a row block R = [r0, r1) sums U[R, r0:] *
+    (U[R, r0:] @ U[r0:, r0:]^T), and no full product exists.  Exact while
+    n^3 < 2^63 (every n the integer weight bound admits): a product entry
+    is at most n < 2^24, exact in float32, as are the degree sums; a block
+    of |R| rows, |R| * n <= 2^23 or |R| = 1, sums to at most |R| * n^2 <
+    2^53, exact in float64; the n wedge counts, each below n^2, sum in int64.
     """
-    n = len(A)
-    deg = A.sum(axis=1, dtype=np.float64).astype(np.int64)
+    n = len(U)
+    deg = (U.sum(axis=1) + U.sum(axis=0)).astype(np.int64)
     wedges = int((deg * (deg - 1)).sum()) // 2
     step = max(1, _PRODUCT_BLOCK_ENTRIES // n)
-    buf = np.empty((min(step, n), n), dtype=np.float32)
-    triangles6 = 0
+    buf = np.empty(min(step, n) * n, dtype=np.float32)
+    triangles = 0
     for r0 in range(0, n, step):
-        rows = A[r0:r0 + step]
-        prod = np.matmul(rows, A, out=buf[:len(rows)])
+        rows = U[r0:r0 + step, r0:]
+        prod = buf[:rows.size].reshape(rows.shape)
+        np.matmul(rows, U[r0:, r0:].T, out=prod)
         prod *= rows
-        triangles6 += int(prod.sum(dtype=np.float64))
-    return wedges - triangles6 // 6
+        triangles += int(prod.sum(dtype=np.float64))
+    return wedges - triangles
 
 
 def load_edge_list(text: str, epsilon: float = 0.0) -> SimilarityGraph:

@@ -10,7 +10,6 @@ concentrate around both quantities.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, inf
@@ -45,9 +44,9 @@ class ProbabilityMatrix:
 
 
 def _check_size(n: int) -> None:
-    # ``_unit_base_cost`` sums n wedge counts, each below n^2, in int64, so
-    # it is exact while n^3 < 2^63; a unit-weight SimilarityGraph (what
-    # gen_er returns) admits the same n
+    # ``_unit_base_cost`` sums n wedge counts below n^2 in int64 and counts
+    # common later neighbours, at most n < 2^24, in float32: exact while
+    # n^3 < 2^63, the n a unit-weight SimilarityGraph (gen_er's) admits
     if int(n) ** 3 >= INT64_LIMIT:
         raise InvalidParam(f"n = {n} is too large: n^3 must stay below 2^63")
 
@@ -123,38 +122,39 @@ _DRAW_BLOCK_PAIRS = 2**18
 
 
 def _sample(model: Model, seed: int) -> np.ndarray:
-    """One sample as a float32 0/1 matrix; one draw per pair, ascending (i, j).
+    """One sample's strict upper triangle U as a float32 0/1 matrix.
 
-    The draws are taken by row blocks; consecutive ``rng.random`` calls
-    continue one stream, so the bits do not depend on the block size.  Each
-    block's upper triangle is compared with its probabilities and mirrored
-    into its columns as it is written.
+    One draw per pair i < j, ascending (i, j), taken by row blocks;
+    consecutive ``rng.random`` calls continue one stream, so the bits do not
+    depend on the block size.  The diagonal and the lower triangle stay 0:
+    the graph is U + U^T, which ``_unit_base_cost`` never builds.
     """
     n = model.n
     rng = np.random.default_rng(seed)
-    A = np.zeros((n, n), dtype=np.float32)
+    U = np.zeros((n, n), dtype=np.float32)
     step = max(1, _DRAW_BLOCK_PAIRS // n)
     for r0 in range(0, n, step):
         r1 = min(r0 + step, n)
         upper = np.arange(n) > np.arange(r0, r1)[:, None]
-        rows = A[r0:r1]
         draws = rng.random(np.count_nonzero(upper))
-        rows[upper] = draws < model._probs(r0, r1)[upper]
-        square = rows[:, r0:r1]
-        square += square.T  # numpy copies the overlapping operand first
-        A[r1:, r0:r1] = rows[:, r1:].T
-    return A
+        U[r0:r1][upper] = draws < model._probs(r0, r1)[upper]
+    return U
 
 
 def gen_er(n: int, p: float, seed: int) -> SimilarityGraph:
     """Sample a unit-weight graph where each pair appears with probability p."""
-    return SimilarityGraph(_sample(ErModel(n, p), seed).astype(np.int64))
+    return SimilarityGraph(_symmetric(_sample(ErModel(n, p), seed)))
 
 
 def gen_planted(n: int, p: float, q: float, seed: int) -> SimilarityGraph:
     """Sample the two-block model: blocks [0, n/2) and [n/2, n)."""
-    bits = _sample(PlantedModel(n, p, q), seed)
-    return SimilarityGraph(bits.astype(np.int64))
+    return SimilarityGraph(_symmetric(_sample(PlantedModel(n, p, q), seed)))
+
+
+def _symmetric(U: np.ndarray) -> np.ndarray:
+    """U + U^T in int64 (0/1 floats cast exactly), with no float temporary."""
+    # the caller's U is freed on return, before SimilarityGraph's checks
+    return np.add(U, U.T, dtype=np.int64, casting="unsafe")
 
 
 def _triplet_base(a: Fraction, b: Fraction, c: Fraction) -> Fraction:
@@ -174,7 +174,8 @@ def expected_base_cost(model: Union[ProbabilityMatrix, Model]) -> float:
     to float once.  An arbitrary ProbabilityMatrix uses the identity
     wedges - triangles = sum_i (s_i^2 - sum_j p_ij^2) / 2 - tr(P^3) / 6,
     with s the row sums, in float arithmetic; a sampled graph's exact base
-    cost is the same identity on its 0/1 adjacency (``_unit_base_cost``).
+    cost is wedges - triangles too, counted on its 0/1 upper triangle
+    (``_unit_base_cost``).
     """
     if isinstance(model, ErModel):
         p = Fraction(model.p)
@@ -250,8 +251,10 @@ def run_experiment(model: Model, trials: int, seed_base: int,
     """Sample `trials` graphs (seeds seed_base + t) and compare to predictions.
 
     Each trial's ratio estimate divides the closed-form tree cost of the
-    expectation graph by that sample's exact base cost.  Trials are pure and
-    independently seeded, so the report is identical for any worker count.
+    expectation graph by that sample's exact base cost.  Trials run in
+    order in the calling thread, and each one's matrix product uses every
+    core through BLAS; ``jobs`` is validated but starts no thread, so the
+    report is the same for any value.
     """
     if trials < 1:
         raise InvalidParam(f"need trials >= 1, got {trials}")
@@ -261,16 +264,7 @@ def run_experiment(model: Model, trials: int, seed_base: int,
         raise InvalidParam(f"need seed >= 0, got {seed_base}")
     tree_total = expectation_tree_total_cost(model)
     seeds = tuple(seed_base + t for t in range(trials))
-
-    def one(seed: int) -> int:
-        return _unit_base_cost(_sample(model, seed))
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            bases = tuple(pool.map(one, seeds))
-    else:
-        bases = tuple(one(s) for s in seeds)
-
+    bases = tuple(_unit_base_cost(_sample(model, s)) for s in seeds)
     rhos = tuple(tree_total / b if b else inf for b in bases)
     return ExperimentReport(
         samples=trials,

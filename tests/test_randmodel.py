@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -20,6 +21,7 @@ from hcratio import (
     predicted_rho,
     run_experiment,
 )
+from hcratio import cli
 from hcratio import graph as graph_mod
 from hcratio import randgraph as randgraph_mod
 
@@ -108,11 +110,14 @@ def test_sampled_bits_and_unit_kernel_match_oracle(n, block, monkeypatch):
         monkeypatch.setattr(graph_mod, "_PRODUCT_BLOCK_ENTRIES", block)
     for model in _sampler_models(n):
         for seed in (0, 7, 2**40 + 3):
-            A = randgraph_mod._sample(model, seed)
+            U = randgraph_mod._sample(model, seed)
             want = oracle_sample(model.probability_matrix(), seed)
-            assert A.dtype == np.float32
-            assert np.array_equal(A, want.weights)
-            base = graph_mod._unit_base_cost(A)
+            assert U.dtype == np.float32
+            # the oracle graph is symmetric with a zero diagonal, so its
+            # strict upper triangle determines it
+            assert np.array_equal(U, np.triu(want.weights, 1))
+            assert not np.tril(U).any()
+            base = graph_mod._unit_base_cost(U)
             assert type(base) is int and base == base_cost(want)
 
 
@@ -304,6 +309,26 @@ def test_experiment_worker_count_is_invisible():
     a = run_experiment(model, trials=10, seed_base=7, jobs=1)
     b = run_experiment(model, trials=10, seed_base=7, jobs=8)
     assert a == b
+
+
+def test_random_starts_no_thread(monkeypatch, capsys):
+    # small blocks cut both the draws and the products into several blocks
+    monkeypatch.setattr(randgraph_mod, "_DRAW_BLOCK_PAIRS", 500)
+    monkeypatch.setattr(graph_mod, "_PRODUCT_BLOCK_ENTRIES", 500)
+    model = PlantedModel(60, 0.6, 0.2)
+    argv = ["random", "--planted", "60", "0.6", "0.2", "--trials", "6",
+            "--seed", "7"]
+    want = run_experiment(model, trials=6, seed_base=7, jobs=1)
+    assert cli.main(["--jobs", "1"] + argv) == 0
+    want_out = capsys.readouterr().out
+
+    def refuse(self):
+        raise AssertionError("random started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert run_experiment(model, trials=6, seed_base=7, jobs=8) == want
+    assert cli.main(["--jobs", "8"] + argv) == 0
+    assert capsys.readouterr().out == want_out
 
 
 @pytest.mark.parametrize("jobs", [0, -1])
