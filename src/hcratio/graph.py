@@ -240,13 +240,16 @@ def _triplet_rows(W: np.ndarray):
     j, k are index arrays in lexicographic order, and low = a + b + c -
     max(max(a, b), c), with a, b, c = W[i,j], W[i,k], W[j,k], is each
     triplet's least cost, the sum of its two smallest weights.  A fixed
-    expression and order keep float sums over ``low`` reproducible.
+    expression and order keep float sums over ``low`` reproducible.  Row
+    i's pairs j < k are the suffix of the pairs of ``np.triu_indices(n, 1)``
+    after those with j <= i, so j and k are views of one index array that
+    callers must not write to.
     """
     n = len(W)
+    J, K = np.triu_indices(n, 1)
     for i in range(n - 2):
-        j, k = np.triu_indices(n - 1 - i, 1)
-        j += i + 1
-        k += i + 1
+        s = (i + 1) * (2 * n - i - 2) // 2  # pairs whose first index is <= i
+        j, k = J[s:], K[s:]
         a, b, c = W[i, j], W[i, k], W[j, k]
         yield i, j, k, a + b + c - np.maximum(np.maximum(a, b), c)
 

@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, inf
-from typing import Union
+from typing import Iterable, Iterator, Union
 
 import numpy as np
 
@@ -21,6 +21,10 @@ from .errors import InvalidParam
 from .graph import INT64_LIMIT, SimilarityGraph, _unit_base_cost
 
 Value = Union[int, float]
+# A model's pair probabilities: p everywhere, except on rectangles
+# (row0, row1, col0, col1, q) above the diagonal (col0 >= row1) and their
+# mirror images, which take q.
+Layout = tuple[float, tuple[tuple[int, int, int, int, float], ...]]
 
 
 class ProbabilityMatrix:
@@ -72,11 +76,10 @@ class ErModel:
         _check_prob("p", self.p)
 
     def probability_matrix(self) -> ProbabilityMatrix:
-        return ProbabilityMatrix(self._probs(0, self.n))
+        return _probability_matrix(self)
 
-    def _probs(self, r0: int, r1: int) -> np.ndarray:
-        """Rows [r0, r1) of the probability matrix."""
-        return _off_diagonal(np.full((r1 - r0, self.n), float(self.p)), r0)
+    def _layout(self) -> Layout:
+        return float(self.p), ()
 
 
 @dataclass(frozen=True)
@@ -98,62 +101,93 @@ class PlantedModel:
                           stacklevel=3)
 
     def probability_matrix(self) -> ProbabilityMatrix:
-        return ProbabilityMatrix(self._probs(0, self.n))
+        return _probability_matrix(self)
 
-    def _probs(self, r0: int, r1: int) -> np.ndarray:
-        """Rows [r0, r1) of the probability matrix."""
+    def _layout(self) -> Layout:
         h = self.n // 2
-        same = (np.arange(r0, r1)[:, None] < h) == (np.arange(self.n) < h)
-        return _off_diagonal(np.where(same, float(self.p), float(self.q)), r0)
+        return float(self.p), ((0, h, h, self.n, float(self.q)),)
 
 
 Model = Union[ErModel, PlantedModel]
 
 
-def _off_diagonal(rows: np.ndarray, r0: int) -> np.ndarray:
-    """Zero the diagonal entries of the row block that starts at row r0."""
-    k = len(rows)
-    rows[np.arange(k), np.arange(r0, r0 + k)] = 0.0
-    return rows
+def _probability_matrix(model: Model) -> ProbabilityMatrix:
+    """The dense matrix of the model's ``_layout``, zero on the diagonal."""
+    p, rectangles = model._layout()
+    P = np.full((model.n, model.n), p)
+    for a, b, c, d, q in rectangles:
+        P[a:b, c:d] = q
+        P[c:d, a:b] = q
+    np.fill_diagonal(P, 0.0)
+    return ProbabilityMatrix(P)
 
 
-# About this many pairs are drawn per row block of ``_sample`` (2 MB of draws).
+# About this many pairs are drawn per row block of ``_samples`` (2 MB of draws).
 _DRAW_BLOCK_PAIRS = 2**18
 
 
-def _sample(model: Model, seed: int) -> np.ndarray:
-    """One sample's strict upper triangle U as a float32 0/1 matrix.
+def _samples(model: Model, seeds: Iterable[int]) -> Iterator[np.ndarray]:
+    """Each seed's strict upper triangle U, a float32 0/1 matrix, in order.
 
     One draw per pair i < j, ascending (i, j), taken by row blocks;
     consecutive ``rng.random`` calls continue one stream, so the bits do not
     depend on the block size.  The diagonal and the lower triangle stay 0:
     the graph is U + U^T, which ``_unit_base_cost`` never builds.
+
+    Every sample is written into the same U, and every block into the same
+    buffers, allocated before the first seed: a block's packed draws are
+    compared with p into ``bits`` and scattered into the block's upper
+    entries, so each sample rewrites every entry above the diagonal.  Rows
+    that cross a rectangle of the model's layout then scatter their draws
+    into ``scratch`` and compare that rectangle again, with its own q.  The
+    same U is yielded each time: read it before asking for the next one.
     """
     n = model.n
-    rng = np.random.default_rng(seed)
+    p, rectangles = model._layout()
+    step = min(n, max(1, _DRAW_BLOCK_PAIRS // n))
+    cols = np.arange(n, dtype=np.int32)  # n < 2^21
     U = np.zeros((n, n), dtype=np.float32)
-    step = max(1, _DRAW_BLOCK_PAIRS // n)
-    for r0 in range(0, n, step):
-        r1 = min(r0 + step, n)
-        upper = np.arange(n) > np.arange(r0, r1)[:, None]
-        draws = rng.random(np.count_nonzero(upper))
-        U[r0:r1][upper] = draws < model._probs(r0, r1)[upper]
-    return U
+    mask = np.empty((step, n), dtype=bool)
+    draws = np.empty(step * n)
+    bits = np.empty(step * n, dtype=bool)
+    scratch = np.empty((step, n)) if rectangles else None
+    masked = None  # the block the mask holds; one block keeps it throughout
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        for r0 in range(0, n, step):
+            r1 = min(r0 + step, n)
+            upper = mask[:r1 - r0]
+            if masked != r0:
+                np.greater(cols, cols[r0:r1, None], out=upper)
+                masked = r0
+            k = (r1 - r0) * (2 * n - r0 - r1 - 1) // 2  # pairs in the rows
+            d = rng.random(k, out=draws[:k])
+            U[r0:r1][upper] = np.less(d, p, out=bits[:k])
+            for a, b, c0, c1, q in rectangles:
+                lo, hi = max(a, r0), min(b, r1)
+                if lo < hi:
+                    block = scratch[:r1 - r0]
+                    block[upper] = d
+                    np.less(block[lo - r0:hi - r0, c0:c1], q,
+                            out=U[lo:hi, c0:c1])
+        yield U
 
 
 def gen_er(n: int, p: float, seed: int) -> SimilarityGraph:
     """Sample a unit-weight graph where each pair appears with probability p."""
-    return SimilarityGraph(_symmetric(_sample(ErModel(n, p), seed)))
+    return SimilarityGraph(_symmetric(next(_samples(ErModel(n, p), (seed,)))))
 
 
 def gen_planted(n: int, p: float, q: float, seed: int) -> SimilarityGraph:
     """Sample the two-block model: blocks [0, n/2) and [n/2, n)."""
-    return SimilarityGraph(_symmetric(_sample(PlantedModel(n, p, q), seed)))
+    model = PlantedModel(n, p, q)
+    return SimilarityGraph(_symmetric(next(_samples(model, (seed,)))))
 
 
 def _symmetric(U: np.ndarray) -> np.ndarray:
     """U + U^T in int64 (0/1 floats cast exactly), with no float temporary."""
-    # the caller's U is freed on return, before SimilarityGraph's checks
+    # the caller's U is freed on return, before SimilarityGraph's checks:
+    # no one holds the generator ``next`` took it from, so no frame keeps it
     return np.add(U, U.T, dtype=np.int64, casting="unsafe")
 
 
@@ -264,7 +298,7 @@ def run_experiment(model: Model, trials: int, seed_base: int,
         raise InvalidParam(f"need seed >= 0, got {seed_base}")
     tree_total = expectation_tree_total_cost(model)
     seeds = tuple(seed_base + t for t in range(trials))
-    bases = tuple(_unit_base_cost(_sample(model, s)) for s in seeds)
+    bases = tuple(map(_unit_base_cost, _samples(model, seeds)))
     rhos = tuple(tree_total / b if b else inf for b in bases)
     return ExperimentReport(
         samples=trials,

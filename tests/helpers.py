@@ -361,6 +361,22 @@ def oracle_float_base(W):
     return total
 
 
+def oracle_triplet_rows(W):
+    """``graph._triplet_rows`` with each row's pairs built on their own.
+
+    Row i takes ``np.triu_indices(n - 1 - i, 1)`` shifted by i + 1, where
+    the library slices one index array; the rows, their order and the
+    least-cost expression are the same.
+    """
+    n = len(W)
+    for i in range(n - 2):
+        j, k = np.triu_indices(n - 1 - i, 1)
+        j += i + 1
+        k += i + 1
+        a, b, c = W[i, j], W[i, k], W[j, k]
+        yield i, j, k, a + b + c - np.maximum(np.maximum(a, b), c)
+
+
 def oracle_sample(P, seed):
     """Unit-weight sample of a ProbabilityMatrix, all draws in one call.
 

@@ -237,15 +237,16 @@ def test_random_jobs_do_not_change_output(capsys):
 def test_random_out_of_memory_is_an_error(capsys):
     # an n within the n^3 < 2^63 bound whose sample does not fit; exit 1
     # would read as a negative verdict
-    def no_memory(model, seed):
+    def no_memory(model, seeds):  # like _samples, fails at its first sample
         raise MemoryError("Unable to allocate 15.3 TiB for an array")
+        yield
 
-    with mock.patch("hcratio.randgraph._sample", no_memory):
+    with mock.patch("hcratio.randgraph._samples", no_memory):
         code, out, err = run(capsys, "random", "--er", "2000000", "0.5",
                              "--trials", "1", "--seed", "0")
     assert (code, out) == (2, "")
     assert err == "error: Unable to allocate 15.3 TiB for an array\n"
-    with mock.patch("hcratio.randgraph._sample", side_effect=MemoryError):
+    with mock.patch("hcratio.randgraph._samples", side_effect=MemoryError):
         code, out, err = run(capsys, "random", "--er", "10", "0.5",
                              "--trials", "1", "--seed", "0")
     assert (code, out, err) == (2, "", "error: out of memory\n")

@@ -39,6 +39,7 @@ from helpers import (
     oracle_load_graph,
     oracle_load_matrix,
     oracle_minimal_valid_partition,
+    oracle_triplet_rows,
     oracle_weights,
     path_graph,
     random_int_graph,
@@ -217,6 +218,25 @@ def test_float_base_cost_keeps_its_summation_order_to_the_bit():
         R = np.triu(rng.random((n, n)), 1)
         for W in (U * 0.1, (0.7 * U + 0.05) * off[:n, :n], R + R.T):
             assert base_cost(graph_from(W)) == oracle_float_base(W)
+
+
+def test_triplet_rows_match_per_row_oracle():
+    rng = np.random.default_rng(5)
+    for n in range(13):
+        R = np.triu(rng.random((n, n)), 1)
+        W = R + R.T
+        got = list(graph_mod._triplet_rows(W))
+        want = list(oracle_triplet_rows(W))
+        assert len(got) == len(want) == max(n - 2, 0)
+        for (i, j, k, low), (wi, wj, wk, wlow) in zip(got, want):
+            assert i == wi
+            assert j.dtype == wj.dtype and np.array_equal(j, wj)
+            assert k.dtype == wk.dtype and np.array_equal(k, wk)
+            assert low.dtype == wlow.dtype and np.array_equal(low, wlow)
+        total = 0.0
+        for *_, low in oracle_triplet_rows(W):
+            total += low.sum().item()
+        assert base_cost(graph_from(W)) == total
 
 
 @st.composite

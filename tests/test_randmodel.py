@@ -75,7 +75,7 @@ def test_generation_extremes():
 
 
 def test_probability_matrix_layout():
-    # the dense layouts the models are defined by, and their row blocks
+    # the dense layouts the models are defined by
     er = np.full((7, 7), 0.3)
     np.fill_diagonal(er, 0.0)
     planted = np.full((8, 8), 0.2)
@@ -85,9 +85,6 @@ def test_probability_matrix_layout():
                         (PlantedModel(8, 0.7, 0.2), planted)):
         got = model.probability_matrix().p
         assert got.dtype == np.float64 and np.array_equal(got, want)
-        n = model.n
-        for r0, r1 in ((0, 1), (2, 5), (3, n), (n - 1, n)):
-            assert np.array_equal(model._probs(r0, r1), want[r0:r1])
 
 
 def _sampler_models(n):
@@ -104,13 +101,16 @@ def _sampler_models(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 400])
 def test_sampled_bits_and_unit_kernel_match_oracle(n, block, monkeypatch):
     # a small block cuts both the draws and the triangle products into row
-    # blocks of 1000 // n rows (one row when that is 0), across any boundary
+    # blocks of 1000 // n rows (one row when that is 0), across any boundary;
+    # one generator serves every seed, so a sample that kept an entry of the
+    # one before it in the shared buffers differs from its oracle
     if block is not None:
         monkeypatch.setattr(randgraph_mod, "_DRAW_BLOCK_PAIRS", block)
         monkeypatch.setattr(graph_mod, "_PRODUCT_BLOCK_ENTRIES", block)
+    seeds = (0, 7, 2**40 + 3)
     for model in _sampler_models(n):
-        for seed in (0, 7, 2**40 + 3):
-            U = randgraph_mod._sample(model, seed)
+        for seed, U in zip(seeds, randgraph_mod._samples(model, seeds),
+                           strict=True):
             want = oracle_sample(model.probability_matrix(), seed)
             assert U.dtype == np.float32
             # the oracle graph is symmetric with a zero diagonal, so its
@@ -302,6 +302,34 @@ def test_experiment_trial_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 3 * n * n * 4
+
+
+@pytest.mark.parametrize("model", [ErModel(1000, 0.5),
+                                   PlantedModel(1000, 0.5, 0.1)])
+def test_experiment_allocates_its_buffers_once(model):
+    # every trial refills the first trial's matrix and block buffers
+    peaks = []
+    for trials in (1, 4):
+        tracemalloc.start()
+        try:
+            run_experiment(model, trials, 3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2**20
+
+
+def test_gen_er_frees_the_upper_triangle_before_checking_the_graph():
+    # int64 weights take 8 bytes per entry and SimilarityGraph's checks a
+    # few more; a float32 U still alive would add another 4
+    n = 1500
+    tracemalloc.start()
+    try:
+        gen_er(n, 0.5, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 18.5 * n * n
 
 
 def test_experiment_worker_count_is_invisible():
