@@ -17,12 +17,13 @@ own excess.  No tree that could be the first optimum is skipped, and
 
 One generator, ``_search_order``, produces the trees in search order as
 chunks of per-node leaf bitmasks; ``enumerate_trees`` decodes them one by
-one, and the search costs each chunk in a single vectorized pass.
+one, and the search costs each chunk in one vectorized pass, in integers.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Union
@@ -31,13 +32,14 @@ import numpy as np
 
 from .cost import ratio_of
 from .errors import TooLarge
-from .graph import SimilarityGraph, _triplet_rows, base_cost
+from .graph import INT64_LIMIT, SimilarityGraph, _triplet_rows
 from .tree import HcTree
 
 HARD_CAP = 10  # (2n-3)!! trees: 34,459,425 at n = 10
 
 _BIG = np.int8(127)  # above any leaf count; the root holds every pair
 _CHUNK = 1 << 13  # trees per search chunk; larger chunks raise peak memory
+_LIMB = 48  # bits per int64 limb of a Python-int weight: limb sums fit int64
 
 
 @dataclass(frozen=True)
@@ -50,11 +52,7 @@ class Optimum:
 
 
 def _double_factorial(k: int) -> int:
-    out = 1
-    while k > 1:
-        out *= k
-        k -= 2
-    return out
+    return math.prod(range(k, 1, -2))
 
 
 def _nested_from_masks(masks) -> tuple:
@@ -66,8 +64,7 @@ def _nested_from_masks(masks) -> tuple:
     """
     masks = [int(m) for m in masks]
     by_size = sorted(masks, key=lambda m: -m.bit_count())
-    parent = {}
-    owner = {}  # leaf bit -> smallest mask visited so far that holds it
+    parent, owner = {}, {}  # owner: leaf bit -> smallest mask seen holding it
     for m in by_size:
         low = m & -m
         if low in owner:
@@ -111,9 +108,8 @@ def _expand_level(level: np.ndarray, leaf: int) -> np.ndarray:
 def _check_size(n: int, cap: int) -> None:
     limit = min(cap, HARD_CAP)
     if n > limit:
-        raise TooLarge(
-            f"{n} leaves means {_double_factorial(2 * n - 3):,} trees; "
-            f"cap is {limit}")
+        raise TooLarge(f"{n} leaves means {_double_factorial(2 * n - 3):,} "
+                       f"trees; cap is {limit}")
 
 
 def _search_order(n: int, keep: Optional[Callable] = None
@@ -155,36 +151,57 @@ def enumerate_trees(n: int, cap: int = HARD_CAP) -> Iterator[HcTree]:
             yield HcTree.from_nested(_nested_from_masks(row))
 
 
+def _exact_weights(g: SimilarityGraph) -> np.ndarray:
+    """The weights as exact integers; integer graphs return theirs as is.
+
+    Floats are scaled by the least power of two that makes each whole.  No
+    cost, prefix base or bound exceeds (n-2) x the pair-weight sum: int64
+    while that stays below 2^63, Python ints (object array) beyond.
+    """
+    if g.integral:
+        return g.weights
+    parts = [x.as_integer_ratio() for x in g.weights.ravel().tolist()]
+    scale = max(d for _, d in parts)  # powers of two: each divides the max
+    exact = [p * (scale // d) for p, d in parts]
+    fits = max(g.n - 2, 1) * (sum(exact) // 2) < INT64_LIMIT
+    return np.array(exact, np.int64 if fits else object).reshape(g.n, g.n)
+
+
 def _total_costs(chunk: np.ndarray, pair_masks: np.ndarray,
                  pair_weights: np.ndarray) -> np.ndarray:
     """Total cost of every tree in the chunk (rows are mask arrays).
 
     Runs on the transposed chunk, one contiguous row per node slot, so each
     LCA minimum is an elementwise minimum over rows; leaf counts (at most
-    16) fit int8, which keeps the per-pair temporaries small.
+    16) fit int8, which keeps the per-pair temporaries small.  Python-int
+    weights (object arrays) are costed as int64 limbs on a second axis.
     """
+    if pair_weights.dtype == object:
+        shifts = range(0, max(pair_weights, default=1).bit_length(), _LIMB)
+        limbs = [pair_weights >> s & (1 << _LIMB) - 1 for s in shifts]
+        parts = _total_costs(chunk, pair_masks, np.stack(limbs, -1).astype(np.int64))
+        return sum(p.astype(object) << s for p, s in zip(parts, shifts))
     nodes = np.ascontiguousarray(chunk.T)
     sizes = np.bitwise_count(nodes).astype(np.int8)
-    acc = np.zeros(len(chunk), dtype=pair_weights.dtype)
+    acc = np.zeros(pair_weights.shape[1:] + chunk.shape[:1], pair_weights.dtype)
     for pm, w in zip(pair_masks, pair_weights):
         holds_both = (nodes & pm) == pm
         lca_size = np.where(holds_both, sizes, _BIG).min(axis=0)
-        acc += w * (lca_size - 2)
+        acc += np.multiply.outer(w, lca_size - 2)
     return acc
 
 
-def _optimal_total(g: SimilarityGraph):
+def _optimal_total(W: np.ndarray):
     """Least total cost over all binary trees, by dynamic program on subsets.
 
     OPT(S) = min over splits A|B, A holding S's lowest vertex, of
     OPT(A) + OPT(B) + |S| x w(A, B), where w(A, B) = in(S) - in(A) - in(B)
     and in(.) is the weight inside a vertex set, tabulated over all 2^n
     masks.  OPT(all) is the least Dasgupta cost; the total cost is that
-    minus twice the weight sum.  Python ints keep integer graphs exact.
+    minus twice the weight sum, exact on integer (or Fraction) weights.
     """
-    n = g.n
-    rows = g.weights.tolist()
-    full = 1 << n
+    rows = W.tolist()
+    full = 1 << len(W)
     inside = [0] * full
     for s in range(1, full):
         rest = s & (s - 1)
@@ -223,8 +240,7 @@ def _prefix_bases(W: np.ndarray) -> list:
 
     Each triplet counts towards every prefix holding its last vertex k.
     """
-    n = len(W)
-    S = np.zeros((n, n), dtype=W.dtype)  # S[j, k]: sum over i of low(i, j, k)
+    S = np.zeros_like(W)  # S[j, k]: sum over i of low(i, j, k)
     for _, j, k, low in _triplet_rows(W):
         S[j, k] += low
     return [0] + list(itertools.accumulate(S.sum(axis=0).tolist()))
@@ -233,13 +249,10 @@ def _prefix_bases(W: np.ndarray) -> list:
 def optimal_ratio_bruteforce(g: SimilarityGraph, cap: int = HARD_CAP) -> Optimum:
     """Exact minimum ratio over every binary tree, with its first argmin.
 
-    Chunks arrive in search order, and a later chunk wins only with a
-    strictly lower cost, so the tree returned is the first optimum.  A
-    partial tree is dropped only when its excess (total minus base cost
-    over its own leaves) exceeds the optimum's excess, which no completion
-    can then reach; on float graphs a slack far above the rounding of these
-    sums keeps every tree whose float cost could tie.  Integer graphs stop
-    at the first chunk that attains the exact optimum.
+    Every sum runs on the exact integers of ``_exact_weights``; the search
+    stops at the first tree in search order whose total cost equals the DP
+    optimum.  rho is a Fraction on integer graphs and the correctly rounded
+    exact ratio on float graphs.
     """
     n = g.n
     if n < 1:
@@ -249,35 +262,22 @@ def optimal_ratio_bruteforce(g: SimilarityGraph, cap: int = HARD_CAP) -> Optimum
         return Optimum(rho=Fraction(1), tree=HcTree.from_nested(0),
                        trees_searched=1)
 
-    base = base_cost(g)
+    W = _exact_weights(g)
     ii, jj = g.positive_pairs()
-    pair_masks = ((1 << ii.astype(np.int64)) | (1 << jj.astype(np.int64))) \
-        .astype(np.uint16)
-    wdtype = np.int64 if g.integral else np.float64
-    pair_weights = g.weights[ii, jj].astype(wdtype)
-
-    target = _optimal_total(g)
-    bases = _prefix_bases(g.weights)
-    bound = target - bases[n]
-    if not g.integral:
-        bound += 1e-9 * (1 + n * g.total_weight())
+    pair_masks = ((1 << ii) | (1 << jj)).astype(np.uint16)
+    pair_weights = W[ii, jj]
+    target = _optimal_total(W)
+    bases = _prefix_bases(W)
 
     def keep(rows, m):
         inner = jj < m
         cost = _total_costs(rows, pair_masks[inner], pair_weights[inner])
-        return rows[cost - bases[m] <= bound]
+        return rows[cost - bases[m] <= target - bases[n]]
 
-    best_tc = None
-    best_row = None
     for chunk in _search_order(n, keep):
-        tc = _total_costs(chunk, pair_masks, pair_weights)
-        pos = int(np.argmin(tc))
-        val = tc[pos].item()
-        if best_tc is None or val < best_tc:
-            best_tc = val
-            best_row = chunk[pos].copy()
-            if g.integral and best_tc == target:
-                break
-    return Optimum(rho=ratio_of(best_tc, base, g.integral),
-                   tree=HcTree.from_nested(_nested_from_masks(best_row)),
+        hit = _total_costs(chunk, pair_masks, pair_weights) == target
+        if hit.any():
+            break
+    return Optimum(rho=ratio_of(target, bases[n], g.integral),
+                   tree=HcTree.from_nested(_nested_from_masks(chunk[hit.argmax()])),
                    trees_searched=_double_factorial(2 * n - 3))

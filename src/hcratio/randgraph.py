@@ -17,6 +17,7 @@ from typing import Iterable, Iterator, Union
 
 import numpy as np
 
+from .cost import ratio_of
 from .errors import InvalidParam
 from .graph import INT64_LIMIT, SimilarityGraph, _unit_base_cost
 
@@ -285,10 +286,11 @@ def run_experiment(model: Model, trials: int, seed_base: int,
     """Sample `trials` graphs (seeds seed_base + t) and compare to predictions.
 
     Each trial's ratio estimate divides the closed-form tree cost of the
-    expectation graph by that sample's exact base cost.  Trials run in
-    order in the calling thread, and each one's matrix product uses every
-    core through BLAS; ``jobs`` is validated but starts no thread, so the
-    report is the same for any value.
+    expectation graph by that sample's exact base cost, under the ratio
+    rule of ``cost.ratio_of`` (0/0 = 1).  Trials run in order in the
+    calling thread, and each one's matrix product uses every core through
+    BLAS; ``jobs`` is validated but starts no thread, so the report is the
+    same for any value.
     """
     if trials < 1:
         raise InvalidParam(f"need trials >= 1, got {trials}")
@@ -299,7 +301,7 @@ def run_experiment(model: Model, trials: int, seed_base: int,
     tree_total = expectation_tree_total_cost(model)
     seeds = tuple(seed_base + t for t in range(trials))
     bases = tuple(map(_unit_base_cost, _samples(model, seeds)))
-    rhos = tuple(tree_total / b if b else inf for b in bases)
+    rhos = tuple(float(ratio_of(tree_total, b, False)) for b in bases)
     return ExperimentReport(
         samples=trials,
         seeds=seeds,

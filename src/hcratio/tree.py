@@ -295,16 +295,22 @@ def _split_top_down(vertices, split):
     return tree, None
 
 
-_TOKEN = re.compile(r"\s*([(),;]|[^\s(),;:]+|:[^\s(),;]*)")
+# a quoted name ('' stands for '), punctuation, a bare name, a branch length
+_TOKEN = re.compile(r"\s*('(?:[^']|'')*'|[(),;]|[^\s(),;:'][^\s(),;:]*"
+                    r"|:[^\s(),;]*)")
+# names that are empty or hold any of these are quoted on output
+_NEEDS_QUOTES = re.compile(r"[\s(),;:']|^$")
 
 
 def parse_newick(text: str, labels: Optional[Sequence[str]] = None) -> HcTree:
     """Parse a Newick subset: names, parentheses, commas, ';' terminator.
 
-    Branch lengths (':0.1') and internal-node labels are accepted and
-    discarded.  With ``labels``, leaf names map to their index in it (unknown
-    name -> LeafMismatch).  Without, names get indices in sorted order —
-    numeric when every name is an integer, lexicographic otherwise.
+    Names may be quoted, '...' with each inner ' doubled, to hold white
+    space or any of ( ) , ; : '.  Branch lengths (':0.1') and internal-node
+    labels are accepted and discarded.  With ``labels``, leaf names map to
+    their index in it (unknown name -> LeafMismatch).  Without, names get
+    indices in sorted order — numeric when every name is an integer,
+    lexicographic otherwise.
     """
     tokens = []
     pos = 0
@@ -356,7 +362,8 @@ def parse_newick(text: str, labels: Optional[Sequence[str]] = None) -> HcTree:
             else:
                 group = stack[-1] if stack else top
                 slots.append((group, len(group)))
-                group.append(tok)
+                group.append(tok[1:-1].replace("''", "'") if tok[0] == "'"
+                             else tok)
                 expect_item = False
         i += 1
     else:
@@ -385,7 +392,13 @@ def parse_newick(text: str, labels: Optional[Sequence[str]] = None) -> HcTree:
 
 
 def serialize_newick(t: HcTree, labels: Optional[Sequence[str]] = None) -> str:
-    """Canonical Newick text (children by smallest leaf; no branch lengths)."""
-    name = str if labels is None else labels.__getitem__
+    """Canonical Newick text (children by smallest leaf; no branch lengths).
+
+    A name that is empty or holds white space or any of ( ) , ; : ' is
+    written quoted, '...', with each inner ' doubled.
+    """
+    name = str if labels is None else [
+        "'" + x.replace("'", "''") + "'" if _NEEDS_QUOTES.search(x) else x
+        for x in labels].__getitem__
     parts = t._fold(name, lambda kids: "(" + ",".join(kids) + ")")
     return parts[t.root] + ";"

@@ -222,8 +222,11 @@ def oracle_enumerate_trees(n):
 def oracle_bruteforce(g):
     """(Optimum, least total cost) by costing every tree, with no pruning.
 
-    Chunks arrive in search order and a later chunk wins only with a
-    strictly lower cost, so the tree is the first optimum in search order.
+    Integer graphs keep the first tree of least int64 cost in search order.
+    Float graphs cost every tree in floats, then re-cost the trees within
+    1e-6 of the float minimum as exact Fraction sums, one per weight
+    level, and keep the first of least exact cost; rho is then the float
+    of the exact least over the exact Fraction base.
     """
     n = g.n
     if n == 1:
@@ -232,22 +235,37 @@ def oracle_bruteforce(g):
     ii, jj = g.positive_pairs()
     pair_masks = ((1 << ii.astype(np.int64)) | (1 << jj.astype(np.int64))) \
         .astype(np.uint16)
-    wdtype = np.int64 if g.integral else np.float64
-    pair_weights = g.weights[ii, jj].astype(wdtype)
-    best_tc = None
-    best_row = None
-    for chunk in _search_order(n):
-        tc = _total_costs(chunk, pair_masks, pair_weights)
-        pos = int(np.argmin(tc))
-        val = tc[pos].item()
-        if best_tc is None or val < best_tc:
-            best_tc = val
-            best_row = chunk[pos].copy()
+    pair_weights = g.weights[ii, jj]
+    if g.integral:
+        least, row = None, None
+        for chunk in _search_order(n):
+            tc = _total_costs(chunk, pair_masks, pair_weights)
+            pos = int(np.argmin(tc))
+            if least is None or tc[pos] < least:
+                least, row = tc[pos].item(), chunk[pos].copy()
+        rho = ratio_of(least, base_cost(g), True)
+    else:
+        floor = min(_total_costs(chunk, pair_masks, pair_weights).min()
+                    for chunk in _search_order(n)) + 1e-6
+        near = np.concatenate([
+            chunk[_total_costs(chunk, pair_masks, pair_weights) <= floor]
+            for chunk in _search_order(n)])
+        exact = sum(Fraction(v) * _total_costs(
+            near, pair_masks[pair_weights == v],
+            np.ones((pair_weights == v).sum(), dtype=np.int64)).astype(object)
+            for v in set(pair_weights.tolist()))
+        pos = int(np.argmin(exact))
+        least, row = exact[pos], near[pos]
+        F = [[Fraction(x) for x in r] for r in g.weights.tolist()]
+        base = sum(sum(sorted((F[i][j], F[i][k], F[j][k]))[:2])
+                   for i, j, k in combinations(range(n), 3))
+        rho = ratio_of(least, base, True)
+        rho = float(rho) if base else rho
     opt = Optimum(
-        rho=ratio_of(best_tc, base_cost(g), g.integral),
-        tree=HcTree.from_nested(oracle_nested_from_masks(best_row)),
+        rho=rho,
+        tree=HcTree.from_nested(oracle_nested_from_masks(row)),
         trees_searched=_double_factorial(2 * n - 3))
-    return opt, best_tc
+    return opt, least
 
 
 def leaves_of(nested):

@@ -217,7 +217,7 @@ def test_criterion_06_optimum_bounds(capsys):
             g = _random_graph(rng, n, wmax=wmax, keep=keep)
             while not is_connected(g):
                 g = _random_graph(rng, n, wmax=wmax, keep=keep)
-            rho = ratio_of(_optimal_total(g), base_cost(g), True)
+            rho = ratio_of(_optimal_total(g.weights), base_cost(g), True)
             dp_checked += 1
             if not Fraction(1) <= rho <= n - 2:
                 problems.append(f"DP n={n}: rho {rho} outside [1, {n - 2}]")
@@ -227,10 +227,27 @@ def test_criterion_06_optimum_bounds(capsys):
                 connected_checked += 1
                 if rho > cap:
                     problems.append(f"DP n={n} m={m}: rho {rho} > {cap}")
+    # float graphs: scaled copies, uniform cliques (every tree ties) and
+    # two-decimal weights, searched on exact integers
+    float_checked = 0
+    for idx in range(21):
+        n = 3 + idx % 7
+        if idx % 3 == 0:
+            W = _random_graph(rng, n).weights * 0.3 + 0.05
+        elif idx % 3 == 1:
+            W = clique_graph(n).weights * 0.3
+        else:
+            W = rng.integers(1, 100, (n, n)) / 100
+        g = graph_from(np.triu(W, 1) + np.triu(W, 1).T)
+        rho = optimal_ratio_bruteforce(g).rho
+        float_checked += 1
+        if not (isinstance(rho, float) and 1 <= rho <= n - 2):
+            problems.append(f"float n={n}: rho {rho!r} outside [1, {n - 2}]")
     _report(capsys, 6, not problems,
-            problems or f"bounds hold on {len(_corpus())} graphs and "
+            problems or f"bounds hold on {len(_corpus())} graphs, "
                         f"{dp_checked} DP optima at n = 11..13 "
-                        f"({connected_checked} connected unweighted)")
+                        f"({connected_checked} connected unweighted) and "
+                        f"{float_checked} float graphs at n = 3..9")
 
 
 def test_criterion_07_perturbation_guarantee(capsys):

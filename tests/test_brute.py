@@ -1,4 +1,3 @@
-import math
 import time
 from fractions import Fraction
 from functools import lru_cache
@@ -17,6 +16,7 @@ from hcratio import (
     ratio_cost,
 )
 from hcratio.brute import (
+    _exact_weights,
     _nested_from_masks,
     _optimal_total,
     _prefix_bases,
@@ -89,17 +89,41 @@ def test_all_tied_returns_first_tree():
     opt = optimal_ratio_bruteforce(clique_graph(8))
     assert opt.tree == next(oracle_enumerate_trees(8))
     assert opt.trees_searched == double_factorial(13)
-    # every tree optimal, so no partial tree can be pruned: the integer
-    # graph stops after its first chunk, the float ones cost every chunk
+    # every tree optimal, so no partial tree can be pruned: the search
+    # stops at the first tree of its first chunk
     want, _ = assert_same_search(graph_from(np.zeros((9, 9), dtype=np.int64)))
     assert want.tree == next(oracle_enumerate_trees(9))
-    half = np.full((8, 8), 0.5)  # every float cost ties exactly
-    np.fill_diagonal(half, 0)
-    want, _ = assert_same_search(graph_from(half))
-    assert want.tree == next(oracle_enumerate_trees(8))
-    third = np.full((8, 8), 0.3)  # rounding picks among the ties
-    np.fill_diagonal(third, 0)
-    assert_same_search(graph_from(third))
+    for w in (0.5, 0.3):
+        W = np.full((8, 8), w)
+        np.fill_diagonal(W, 0)
+        want, _ = assert_same_search(graph_from(W))
+        assert want.tree == next(oracle_enumerate_trees(8))
+        assert want.rho == 1.0
+
+
+@pytest.mark.parametrize("w", [0.1, 0.3, 0.7])
+def test_uniform_float_cliques_are_perfect(w):
+    for n in range(3, 11):
+        W = np.full((n, n), w)
+        np.fill_diagonal(W, 0)
+        start = time.perf_counter()
+        opt = optimal_ratio_bruteforce(graph_from(W))
+        elapsed = time.perf_counter() - start
+        assert type(opt.rho) is float and opt.rho == 1.0
+        assert opt.tree == next(oracle_enumerate_trees(n))
+    assert elapsed < 1.0  # n = 10
+
+
+def test_python_int_weights_match_exact_oracle():
+    # weight 0.01 needs a scale of 2^59, too large for int64 sums at n = 8
+    rng = np.random.default_rng(71)
+    for _ in range(3):
+        W = np.triu(rng.integers(1, 100, (8, 8)) / 100, 1)
+        W[0, 1] = 0.01
+        g = graph_from(W + W.T)
+        assert _exact_weights(g).dtype == object
+        want, _ = assert_same_search(g)
+        assert want.rho > 1
 
 
 def test_search_counts_reported():
@@ -237,7 +261,7 @@ def assert_same_search(g):
     want, least = oracle_bruteforce(g)
     got = optimal_ratio_bruteforce(g)
     assert type(got.rho) is type(want.rho)
-    assert got.rho == want.rho
+    assert got.rho == want.rho and got.rho >= 1
     assert got.tree.to_nested() == want.tree.to_nested()
     assert got.trees_searched == want.trees_searched
     return want, least
@@ -247,11 +271,9 @@ def assert_same_search(g):
 @settings(max_examples=80, deadline=None)
 def test_pruned_search_matches_unpruned_oracle(g):
     _, least = assert_same_search(g)
-    dp = _optimal_total(g)
-    if g.integral:
-        assert dp == least
-    else:
-        assert math.isclose(dp, least, rel_tol=1e-9, abs_tol=1e-12)
+    W = g.weights if g.integral else np.array(
+        [[Fraction(x) for x in row] for row in g.weights.tolist()], dtype=object)
+    assert _optimal_total(W) == least
 
 
 def test_prefix_bases_are_base_costs_of_prefixes():

@@ -183,6 +183,45 @@ def test_brute_records(capsys, p5):
     assert "trees-searched\t105" in out
 
 
+@pytest.mark.parametrize("model", [["1", "0.5"], ["2", "0.5"], ["10", "0"]])
+def test_random_zero_over_zero_prints_one(capsys, model):
+    code, out, _ = run(capsys, "random", "--er", *model,
+                       "--trials", "2", "--seed", "1")
+    assert code == 0
+    lines = out.splitlines()
+    assert [line.split()[-1] for line in lines if line.startswith("trial")] \
+        == ["1.0", "1.0"]
+    assert lines[-1] == "rho-mean 1.0"
+
+
+def test_brute_float_clique_is_exactly_one(capsys, tmp_path):
+    n = 9
+    g = tmp_path / "clique.txt"
+    g.write_text(f"{n}\n" + "".join(
+        " ".join("0" if i == j else "0.3" for j in range(n)) + "\n"
+        for i in range(n)))
+    code, out, _ = run(capsys, "brute", str(g))
+    assert code == 0
+    assert out == ("rho 1.0\n"
+                   "tree ((((((((0,1),8),7),6),5),4),3),2);\n"
+                   "trees-searched 2027025\n")
+
+
+@pytest.mark.parametrize("char", list("(),;:'"))
+def test_newick_metacharacter_names_round_trip(capsys, tmp_path, char):
+    name = f"a{char}1"
+    g = tmp_path / "g.txt"
+    g.write_text(f"{name} b 2\nb c 1\n{name} c 1\n")
+    emitted = tmp_path / "t.nwk"
+    code, out, _ = run(capsys, "detect", str(g), "--emit-tree", str(emitted))
+    assert (code, out) == (0, "perfect\n")
+    quoted = "'" + name.replace("'", "''") + "'"
+    assert emitted.read_text() == f"(({quoted},b),c);\n"
+    code, out, err = run(capsys, "cost", str(g), str(emitted))
+    assert (code, err) == (0, "")
+    assert out.endswith("ratio 1 (1.0)\nconsistent true\n")
+
+
 def test_random_er_text(capsys):
     code, out, _ = run(capsys, "random", "--er", "12", "0.5",
                        "--trials", "2", "--seed", "3")

@@ -372,6 +372,23 @@ def test_experiment_sure_graph_has_unit_ratio():
     assert rep.rho_mean == 1.0
 
 
+@pytest.mark.parametrize("model", [ErModel(1, 0.5), ErModel(2, 0.5),
+                                   ErModel(10, 0.0)])
+def test_experiment_zero_over_zero_is_one(model):
+    # no triplet (n < 3) or no edge: tree total and base are both 0
+    rep = run_experiment(model, trials=2, seed_base=1)
+    assert rep.base_costs == (0, 0)
+    assert rep.rho_estimates == (1.0, 1.0)
+    assert rep.rho_mean == 1.0
+
+
+def test_experiment_positive_over_zero_is_inf():
+    rep = run_experiment(ErModel(3, 0.01), trials=1, seed_base=1)
+    assert rep.base_costs == (0,)
+    assert rep.expectation_tree_total_cost > 0
+    assert rep.rho_estimates == (math.inf,)
+
+
 def test_experiment_concentrates():
     model = ErModel(200, 0.4)
     rep = run_experiment(model, trials=10, seed_base=42)

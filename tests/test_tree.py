@@ -288,6 +288,17 @@ def test_serialize_with_labels():
     assert serialize_newick(t, labels=["x", "y", "z"]) == "((x,y),z);"
 
 
+def test_quoted_names_round_trip():
+    labels = ["a(b", "it's", "x y", "p:1", "q;r,s", "", "plain"]
+    t = HcTree.from_nested(((0, 6), ((1, 2), (3, (4, 5)))))
+    text = serialize_newick(t, labels)
+    assert text == "(('a(b',plain),(('it''s','x y'),('p:1',('q;r,s',''))));"
+    assert parse_newick(text, labels) == t
+    # quoted punctuation is a name, not structure; lengths and labels still drop
+    t = parse_newick("(('(':0.5,''''),')')'x';", labels=["(", "'", ")"])
+    assert t.to_nested() == ((0, 1), 2)
+
+
 # -- binarize ----------------------------------------------------------------
 
 def test_binarize_left_fold():
