@@ -15,31 +15,24 @@ minimum, so total cost minus base cost never drops below the partial tree's
 own excess.  No tree that could be the first optimum is skipped, and
 ``trees_searched`` still reports (2n-3)!!, the trees the search covers.
 
-One generator, ``_search_order``, produces the trees in search order as
-chunks of per-node leaf bitmasks; ``enumerate_trees`` decodes them one by
-one, and the search costs each chunk in one vectorized pass, in integers.
+One depth-first walk, ``_walk``, yields the trees in search order for
+``enumerate_trees`` and carries each tree's total cost, in Python integers,
+for the search.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Union
-
-import numpy as np
+from typing import Iterator, Optional, Union
 
 from .cost import ratio_of
 from .errors import TooLarge
-from .graph import INT64_LIMIT, SimilarityGraph, _triplet_rows
+from .graph import SimilarityGraph
 from .tree import HcTree
 
 HARD_CAP = 10  # (2n-3)!! trees: 34,459,425 at n = 10
-
-_BIG = np.int8(127)  # above any leaf count; the root holds every pair
-_CHUNK = 1 << 13  # trees per search chunk; larger chunks raise peak memory
-_LIMB = 48  # bits per int64 limb of a Python-int weight: limb sums fit int64
 
 
 @dataclass(frozen=True)
@@ -55,56 +48,6 @@ def _double_factorial(k: int) -> int:
     return math.prod(range(k, 1, -2))
 
 
-def _nested_from_masks(masks) -> tuple:
-    """Rebuild the nested-tuple tree from its laminar family of leaf masks.
-
-    A node's parent is its smallest strict superset.  Visiting the masks
-    from most leaves to fewest, that is the last visited mask holding any
-    of the node's leaves.  Children keep the order of their masks.
-    """
-    masks = [int(m) for m in masks]
-    by_size = sorted(masks, key=lambda m: -m.bit_count())
-    parent, owner = {}, {}  # owner: leaf bit -> smallest mask seen holding it
-    for m in by_size:
-        low = m & -m
-        if low in owner:
-            parent[m] = owner[low]
-        rest = m
-        while rest:
-            bit = rest & -rest
-            owner[bit] = m
-            rest ^= bit
-    kids = {m: [] for m in masks}
-    for m in masks:
-        if m in parent:
-            kids[parent[m]].append(m)
-
-    def expand(m):
-        if m & (m - 1) == 0:  # single bit: a leaf
-            return m.bit_length() - 1
-        return tuple(expand(x) for x in kids[m])
-
-    return expand(by_size[0])
-
-
-def _expand_level(level: np.ndarray, leaf: int) -> np.ndarray:
-    """All one-leaf extensions of every tree, ordered (tree, insertion node).
-
-    Joining the new leaf next to node c adds it to every strict ancestor of c,
-    then appends the new parent of c and the new leaf as two more nodes.
-    """
-    bit = np.uint16(1 << leaf)
-    count, width = level.shape
-    mu = level[:, :, None]  # node c's leaves, c on axis 1
-    above = ((level[:, None, :] & mu) == mu) & ~np.eye(width, dtype=bool)
-    out = np.empty((count, width, width + 2), dtype=np.uint16)
-    out[:, :, :width] = np.where(above, level[:, None, :] | bit,
-                                 level[:, None, :])
-    out[:, :, width] = level | bit
-    out[:, :, width + 1] = bit
-    return out.reshape(count * width, width + 2)
-
-
 def _check_size(n: int, cap: int) -> None:
     limit = min(cap, HARD_CAP)
     if n > limit:
@@ -112,33 +55,76 @@ def _check_size(n: int, cap: int) -> None:
                        f"trees; cap is {limit}")
 
 
-def _search_order(n: int, keep: Optional[Callable] = None
-                  ) -> Iterator[np.ndarray]:
-    """Leaf-mask rows of every binary tree on leaves 0..n-1, in chunks.
+def _walk(n: int, inside: Optional[list] = None,
+          limits: Optional[list] = None) -> Iterator[tuple]:
+    """Every binary tree on leaves 0..n-1 as ``(total, masks, parents)``.
 
     Search order is lexicographic in the insertion node of leaves 2, 3, ...
-    The walk is depth first over batches: the trees on m leaves are
-    expanded a run of consecutive ones at a time, at most _CHUNK new trees
-    per run, and each run is completed before the next, which keeps the
-    order and bounds every level's batch by _CHUNK trees.
+    A tree is a node table: leaf bitmask and parent (-1: root) per node.
+    Joining leaf m next to node c appends c's new parent and the leaf and
+    adds m to every strict ancestor of c, in place; the walk restores the
+    table on the way back, so a yielded table lasts until it resumes.
 
-    ``keep(rows, m)``, if given, filters the partial trees on leaves
-    0..m-1 (3 <= m < n) before they are expanded; it must return a subset
-    of the rows in their order.  Chunks left empty are not yielded.
+    ``inside[S]`` is the weight inside vertex set S (all zero if omitted)
+    and ``total`` the tree's exact total cost.  Joining m next to c adds
+    (|S_c|-1) x w(m, S_c) and, at each strict ancestor a, (|S_a|-1) x w(m,
+    off-path child of a), where w(m, X) = inside[X | m] - inside[X]; every
+    pair whose LCA is above c, weighing inside(root) less inside(S_c) and
+    each off-path child's, costs one more.  A tree on m leaves whose total
+    exceeds ``limits[m]`` is dropped with all its completions.
     """
-    def walk(rows, m):
-        if m == n:
-            yield rows
-            return
-        step = max(1, _CHUNK // (2 * m - 1))  # 2m-1 places for leaf m
-        for lo in range(0, len(rows), step):
-            grown = _expand_level(rows[lo:lo + step], m)
-            if keep is not None and m + 1 < n:
-                grown = keep(grown, m + 1)
-            if len(grown):
-                yield from walk(grown, m + 1)
+    inside = inside or [0] * (1 << n)
+    limits = limits or [0] * (n + 1)
+    gains = [[inside[x | 1 << m] - inside[x] for x in range(1 << m)]
+             for m in range(n)]  # gains[m][X] = w(m, X)
+    masks, parents = [0b11, 0b01, 0b10], [-1, 0, 0]
 
-    yield from walk(np.array([[0b11, 0b01, 0b10]], dtype=np.uint16), 2)
+    def toggle(a, bit):  # flip the bit on node a and its ancestors
+        while a >= 0:
+            masks[a] ^= bit
+            a = parents[a]
+
+    def grow(m, total):
+        if m == n:
+            yield total, masks, parents
+            return
+        bit, width, gain, limit = 1 << m, 2 * m - 1, gains[m], limits[m + 1]
+        whole = inside[bit - 1]
+        masks[width:], parents[width:] = (0, bit), (0, width)  # parent, leaf
+        for c in range(width):
+            below = masks[c]
+            step = (total + whole - inside[below]
+                    + (below.bit_count() - 1) * gain[below])
+            a = up = parents[c]
+            while a >= 0:
+                sa = masks[a]
+                off = sa ^ below
+                step += (sa.bit_count() - 1) * gain[off] - inside[off]
+                below, a = sa, parents[a]
+            if step <= limit:
+                masks[width], parents[width] = masks[c] | bit, up
+                parents[c] = width
+                toggle(up, bit)
+                yield from grow(m + 1, step)
+                parents[c] = up
+                toggle(up, bit)
+        del masks[width:], parents[width:]
+
+    yield from grow(2, 0)
+
+
+def _tree(masks: list, parents: list) -> HcTree:
+    """The tree of a node table; children keep their node order."""
+    kids = [[] for _ in masks]
+    for c, up in enumerate(parents):
+        if up >= 0:
+            kids[up].append(c)
+
+    def nested(c):
+        return tuple(map(nested, kids[c])) if kids[c] else \
+            masks[c].bit_length() - 1
+
+    return HcTree.from_nested(nested(parents.index(-1)))
 
 
 def enumerate_trees(n: int, cap: int = HARD_CAP) -> Iterator[HcTree]:
@@ -146,72 +132,44 @@ def enumerate_trees(n: int, cap: int = HARD_CAP) -> Iterator[HcTree]:
     if n < 2:
         raise ValueError("need at least 2 leaves")
     _check_size(n, cap)
-    for chunk in _search_order(n):
-        for row in chunk:
-            yield HcTree.from_nested(_nested_from_masks(row))
+    for _, masks, parents in _walk(n):
+        yield _tree(masks, parents)
 
 
-def _exact_weights(g: SimilarityGraph) -> np.ndarray:
-    """The weights as exact integers; integer graphs return theirs as is.
+def _exact_weights(g: SimilarityGraph) -> list:
+    """The weights as rows of exact Python ints; integer graphs keep theirs.
 
-    Floats are scaled by the least power of two that makes each whole.  No
-    cost, prefix base or bound exceeds (n-2) x the pair-weight sum: int64
-    while that stays below 2^63, Python ints (object array) beyond.
+    Floats are scaled by the least power of two that makes each whole.
     """
+    rows = g.weights.tolist()
     if g.integral:
-        return g.weights
-    parts = [x.as_integer_ratio() for x in g.weights.ravel().tolist()]
-    scale = max(d for _, d in parts)  # powers of two: each divides the max
-    exact = [p * (scale // d) for p, d in parts]
-    fits = max(g.n - 2, 1) * (sum(exact) // 2) < INT64_LIMIT
-    return np.array(exact, np.int64 if fits else object).reshape(g.n, g.n)
+        return rows
+    parts = [[x.as_integer_ratio() for x in row] for row in rows]
+    scale = max(d for row in parts for _, d in row)  # each d divides the max
+    return [[p * (scale // d) for p, d in row] for row in parts]
 
 
-def _total_costs(chunk: np.ndarray, pair_masks: np.ndarray,
-                 pair_weights: np.ndarray) -> np.ndarray:
-    """Total cost of every tree in the chunk (rows are mask arrays).
-
-    Runs on the transposed chunk, one contiguous row per node slot, so each
-    LCA minimum is an elementwise minimum over rows; leaf counts (at most
-    16) fit int8, which keeps the per-pair temporaries small.  Python-int
-    weights (object arrays) are costed as int64 limbs on a second axis.
-    """
-    if pair_weights.dtype == object:
-        shifts = range(0, max(pair_weights, default=1).bit_length(), _LIMB)
-        limbs = [pair_weights >> s & (1 << _LIMB) - 1 for s in shifts]
-        parts = _total_costs(chunk, pair_masks, np.stack(limbs, -1).astype(np.int64))
-        return sum(p.astype(object) << s for p, s in zip(parts, shifts))
-    nodes = np.ascontiguousarray(chunk.T)
-    sizes = np.bitwise_count(nodes).astype(np.int8)
-    acc = np.zeros(pair_weights.shape[1:] + chunk.shape[:1], pair_weights.dtype)
-    for pm, w in zip(pair_masks, pair_weights):
-        holds_both = (nodes & pm) == pm
-        lca_size = np.where(holds_both, sizes, _BIG).min(axis=0)
-        acc += np.multiply.outer(w, lca_size - 2)
-    return acc
+def _inside(rows: list) -> list:
+    """Weight inside every vertex set, indexed by its bitmask."""
+    inside = [0] * (1 << len(rows))
+    for s in range(1, len(inside)):
+        rest = s & (s - 1)  # s without its lowest vertex v
+        row = rows[(s ^ rest).bit_length() - 1]
+        inside[s] = inside[rest] + sum(
+            w for u, w in enumerate(row) if rest >> u & 1)
+    return inside
 
 
-def _optimal_total(W: np.ndarray):
+def _optimal_total(inside: list):
     """Least total cost over all binary trees, by dynamic program on subsets.
 
     OPT(S) = min over splits A|B, A holding S's lowest vertex, of
     OPT(A) + OPT(B) + |S| x w(A, B), where w(A, B) = in(S) - in(A) - in(B)
-    and in(.) is the weight inside a vertex set, tabulated over all 2^n
-    masks.  OPT(all) is the least Dasgupta cost; the total cost is that
-    minus twice the weight sum, exact on integer (or Fraction) weights.
+    and ``inside`` tabulates in(.) over all 2^n masks.  OPT(all) is the
+    least Dasgupta cost; the total cost is that minus twice the weight sum,
+    exact on integer (or Fraction) weights.
     """
-    rows = W.tolist()
-    full = 1 << len(W)
-    inside = [0] * full
-    for s in range(1, full):
-        rest = s & (s - 1)
-        v = (s ^ rest).bit_length() - 1
-        w = inside[rest]
-        while rest:
-            bit = rest & -rest
-            w += rows[v][bit.bit_length() - 1]
-            rest ^= bit
-        inside[s] = w
+    full = len(inside)
     opt = [0] * full
     for s in range(1, full):
         low = s & -s
@@ -220,30 +178,31 @@ def _optimal_total(W: np.ndarray):
             continue
         size = s.bit_count()
         in_s = inside[s]
-        best = None
-        sub = (rest - 1) & rest  # the part of rest joining low in A; B != {}
-        while True:
-            a = low | sub
-            b = s ^ a
+        best, b = None, rest  # B runs over the nonempty parts of rest
+        while b:
+            a = s ^ b
             c = opt[a] + opt[b] + size * (in_s - inside[a] - inside[b])
             if best is None or c < best:
                 best = c
-            if not sub:
-                break
-            sub = (sub - 1) & rest
+            b = (b - 1) & rest
         opt[s] = best
     return opt[full - 1] - 2 * inside[full - 1]
 
 
-def _prefix_bases(W: np.ndarray) -> list:
+def _prefix_bases(rows) -> list:
     """Base cost of the subgraph on vertices 0..m-1, for m = 0..n.
 
-    Each triplet counts towards every prefix holding its last vertex k.
+    Each triplet i < j < k counts towards every prefix holding k.
     """
-    S = np.zeros_like(W)  # S[j, k]: sum over i of low(i, j, k)
-    for _, j, k, low in _triplet_rows(W):
-        S[j, k] += low
-    return [0] + list(itertools.accumulate(S.sum(axis=0).tolist()))
+    bases = [0]
+    for k in range(len(rows)):
+        add = 0
+        for j in range(k):
+            for i in range(j):
+                a, b, c = rows[i][j], rows[i][k], rows[j][k]
+                add += a + b + c - max(a, b, c)
+        bases.append(bases[-1] + add)
+    return bases
 
 
 def optimal_ratio_bruteforce(g: SimilarityGraph, cap: int = HARD_CAP) -> Optimum:
@@ -262,22 +221,14 @@ def optimal_ratio_bruteforce(g: SimilarityGraph, cap: int = HARD_CAP) -> Optimum
         return Optimum(rho=Fraction(1), tree=HcTree.from_nested(0),
                        trees_searched=1)
 
-    W = _exact_weights(g)
-    ii, jj = g.positive_pairs()
-    pair_masks = ((1 << ii) | (1 << jj)).astype(np.uint16)
-    pair_weights = W[ii, jj]
-    target = _optimal_total(W)
-    bases = _prefix_bases(W)
-
-    def keep(rows, m):
-        inner = jj < m
-        cost = _total_costs(rows, pair_masks[inner], pair_weights[inner])
-        return rows[cost - bases[m] <= target - bases[n]]
-
-    for chunk in _search_order(n, keep):
-        hit = _total_costs(chunk, pair_masks, pair_weights) == target
-        if hit.any():
+    rows = _exact_weights(g)
+    inside = _inside(rows)
+    target = _optimal_total(inside)
+    bases = _prefix_bases(rows)
+    limits = [target - bases[n] + base for base in bases]
+    for total, masks, parents in _walk(n, inside, limits):
+        if total == target:
             break
     return Optimum(rho=ratio_of(target, bases[n], g.integral),
-                   tree=HcTree.from_nested(_nested_from_masks(chunk[hit.argmax()])),
+                   tree=_tree(masks, parents),
                    trees_searched=_double_factorial(2 * n - 3))

@@ -23,7 +23,7 @@ from .detect import build_bisection
 from .errors import HcratioError, InvalidParam, ParseError
 from .graph import SimilarityGraph, load_graph
 from .randgraph import ErModel, PlantedModel, run_experiment
-from .tree import parse_newick, serialize_newick
+from .tree import _newick_name, parse_newick, serialize_newick
 
 
 def _fmt(x) -> str:
@@ -103,7 +103,8 @@ def cmd_detect(ns) -> int:
             with open(ns.emit_tree, "w", encoding="utf-8") as fh:
                 fh.write(serialize_newick(result.tree, labels=g.labels) + "\n")
         return 0
-    failing = ",".join(g.labels[v] for v in sorted(result.failed_on))
+    failing = ",".join(_newick_name(g.labels[v])
+                       for v in sorted(result.failed_on))
     if ns.records:
         print("verdict\tnot-perfect")
         print(f"failing\t{failing}")

@@ -104,7 +104,9 @@ def ratio_of(total: Value, base: Value, integral: bool) -> Union[Fraction, float
     Exact Fraction when ``integral``, float otherwise.
     """
     if base == 0:
-        return Fraction(1) if total == 0 else math.inf
+        if total:
+            return math.inf
+        return Fraction(1) if integral else 1.0
     return Fraction(total, base) if integral else total / base
 
 

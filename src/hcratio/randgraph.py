@@ -301,7 +301,7 @@ def run_experiment(model: Model, trials: int, seed_base: int,
     tree_total = expectation_tree_total_cost(model)
     seeds = tuple(seed_base + t for t in range(trials))
     bases = tuple(map(_unit_base_cost, _samples(model, seeds)))
-    rhos = tuple(float(ratio_of(tree_total, b, False)) for b in bases)
+    rhos = tuple(ratio_of(tree_total, b, False) for b in bases)
     return ExperimentReport(
         samples=trials,
         seeds=seeds,

@@ -391,14 +391,20 @@ def parse_newick(text: str, labels: Optional[Sequence[str]] = None) -> HcTree:
     return HcTree.from_nested(top[0])
 
 
+def _newick_name(name: str) -> str:
+    """``name`` as Newick text: quoted, '...' with each inner ' doubled,
+    when it is empty or holds white space or any of ( ) , ; : '."""
+    if _NEEDS_QUOTES.search(name):
+        return "'" + name.replace("'", "''") + "'"
+    return name
+
+
 def serialize_newick(t: HcTree, labels: Optional[Sequence[str]] = None) -> str:
     """Canonical Newick text (children by smallest leaf; no branch lengths).
 
-    A name that is empty or holds white space or any of ( ) , ; : ' is
-    written quoted, '...', with each inner ' doubled.
+    Names are written by ``_newick_name``.
     """
-    name = str if labels is None else [
-        "'" + x.replace("'", "''") + "'" if _NEEDS_QUOTES.search(x) else x
-        for x in labels].__getitem__
+    name = str if labels is None else \
+        list(map(_newick_name, labels)).__getitem__
     parts = t._fold(name, lambda kids: "(" + ",".join(kids) + ")")
     return parts[t.root] + ";"

@@ -25,12 +25,7 @@ from hcratio import (
     triplet_type,
 )
 from hcratio.approx import RootedTripletConstraint, _delta_squared
-from hcratio.brute import (
-    Optimum,
-    _double_factorial,
-    _search_order,
-    _total_costs,
-)
+from hcratio.brute import Optimum, _double_factorial
 from hcratio.cost import ratio_of
 from hcratio.detect import (
     Bipartition,
@@ -219,6 +214,60 @@ def oracle_enumerate_trees(n):
             stack.append((grown, next_leaf + 1))
 
 
+_BIG = np.int8(127)  # above any leaf count; the root holds every pair
+_CHUNK = 1 << 13  # trees per chunk of the oracle's search order
+
+
+def _expand_level(level, leaf):
+    """All one-leaf extensions of every tree, ordered (tree, insertion node).
+
+    Joining the new leaf next to node c adds it to every strict ancestor of c,
+    then appends the new parent of c and the new leaf as two more nodes.
+    """
+    bit = np.uint16(1 << leaf)
+    count, width = level.shape
+    mu = level[:, :, None]  # node c's leaves, c on axis 1
+    above = ((level[:, None, :] & mu) == mu) & ~np.eye(width, dtype=bool)
+    out = np.empty((count, width, width + 2), dtype=np.uint16)
+    out[:, :, :width] = np.where(above, level[:, None, :] | bit,
+                                 level[:, None, :])
+    out[:, :, width] = level | bit
+    out[:, :, width + 1] = bit
+    return out.reshape(count * width, width + 2)
+
+
+def oracle_search_order(n):
+    """Leaf-mask rows of every binary tree on leaves 0..n-1, in chunks.
+
+    Search order is lexicographic in the insertion node of leaves 2, 3, ...
+    The trees on m leaves are expanded a run of consecutive ones at a time,
+    at most _CHUNK new trees per run, each run completed before the next.
+    """
+    def walk(rows, m):
+        if m == n:
+            yield rows
+            return
+        step = max(1, _CHUNK // (2 * m - 1))  # 2m-1 places for leaf m
+        for lo in range(0, len(rows), step):
+            yield from walk(_expand_level(rows[lo:lo + step], m), m + 1)
+
+    yield from walk(np.array([[0b11, 0b01, 0b10]], dtype=np.uint16), 2)
+
+
+def oracle_total_costs(chunk, pair_masks, pair_weights):
+    """Total cost of every tree in the chunk (rows are mask arrays).
+
+    Each pair's LCA is the smallest node holding both its leaves.
+    """
+    nodes = np.ascontiguousarray(chunk.T)
+    sizes = np.bitwise_count(nodes).astype(np.int8)
+    acc = np.zeros(chunk.shape[:1], pair_weights.dtype)
+    for pm, w in zip(pair_masks, pair_weights):
+        holds_both = (nodes & pm) == pm
+        acc += w * (np.where(holds_both, sizes, _BIG).min(axis=0) - 2)
+    return acc
+
+
 def oracle_bruteforce(g):
     """(Optimum, least total cost) by costing every tree, with no pruning.
 
@@ -238,19 +287,19 @@ def oracle_bruteforce(g):
     pair_weights = g.weights[ii, jj]
     if g.integral:
         least, row = None, None
-        for chunk in _search_order(n):
-            tc = _total_costs(chunk, pair_masks, pair_weights)
+        for chunk in oracle_search_order(n):
+            tc = oracle_total_costs(chunk, pair_masks, pair_weights)
             pos = int(np.argmin(tc))
             if least is None or tc[pos] < least:
                 least, row = tc[pos].item(), chunk[pos].copy()
         rho = ratio_of(least, base_cost(g), True)
     else:
-        floor = min(_total_costs(chunk, pair_masks, pair_weights).min()
-                    for chunk in _search_order(n)) + 1e-6
+        floor = min(oracle_total_costs(chunk, pair_masks, pair_weights).min()
+                    for chunk in oracle_search_order(n)) + 1e-6
         near = np.concatenate([
-            chunk[_total_costs(chunk, pair_masks, pair_weights) <= floor]
-            for chunk in _search_order(n)])
-        exact = sum(Fraction(v) * _total_costs(
+            chunk[oracle_total_costs(chunk, pair_masks, pair_weights) <= floor]
+            for chunk in oracle_search_order(n)])
+        exact = sum(Fraction(v) * oracle_total_costs(
             near, pair_masks[pair_weights == v],
             np.ones((pair_weights == v).sum(), dtype=np.int64)).astype(object)
             for v in set(pair_weights.tolist()))
@@ -259,8 +308,7 @@ def oracle_bruteforce(g):
         F = [[Fraction(x) for x in r] for r in g.weights.tolist()]
         base = sum(sum(sorted((F[i][j], F[i][k], F[j][k]))[:2])
                    for i, j, k in combinations(range(n), 3))
-        rho = ratio_of(least, base, True)
-        rho = float(rho) if base else rho
+        rho = float(ratio_of(least, base, True))
     opt = Optimum(
         rho=rho,
         tree=HcTree.from_nested(oracle_nested_from_masks(row)),

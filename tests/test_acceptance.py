@@ -28,7 +28,7 @@ from hcratio import (
     total_cost,
     triplet_cost,
 )
-from hcratio.brute import _optimal_total
+from hcratio.brute import _inside, _optimal_total
 from hcratio.cli import main as cli_main
 from hcratio.cost import ratio_of
 from hcratio.tree import HcTree
@@ -217,7 +217,8 @@ def test_criterion_06_optimum_bounds(capsys):
             g = _random_graph(rng, n, wmax=wmax, keep=keep)
             while not is_connected(g):
                 g = _random_graph(rng, n, wmax=wmax, keep=keep)
-            rho = ratio_of(_optimal_total(g.weights), base_cost(g), True)
+            rho = ratio_of(_optimal_total(_inside(g.weights.tolist())),
+                           base_cost(g), True)
             dp_checked += 1
             if not Fraction(1) <= rho <= n - 2:
                 problems.append(f"DP n={n}: rho {rho} outside [1, {n - 2}]")

@@ -17,11 +17,11 @@ from hcratio import (
 )
 from hcratio.brute import (
     _exact_weights,
-    _nested_from_masks,
+    _inside,
     _optimal_total,
     _prefix_bases,
-    _search_order,
 )
+from hcratio.cli import main
 
 from helpers import (
     clique_graph,
@@ -30,6 +30,7 @@ from helpers import (
     oracle_bruteforce,
     oracle_enumerate_trees,
     oracle_nested_from_masks,
+    oracle_search_order,
     path_graph,
     random_int_graph,
     star_graph,
@@ -67,7 +68,6 @@ def test_enumeration_follows_oracle_order(n):
 
 def test_first_argmin_across_chunks():
     n = 7
-    assert sum(1 for _ in _search_order(n)) > 1
     trees = oracle_order(n)
     sizes = np.stack([t.lca_leaf_counts() for t in trees])
     rng = np.random.default_rng(53)
@@ -121,7 +121,8 @@ def test_python_int_weights_match_exact_oracle():
         W = np.triu(rng.integers(1, 100, (8, 8)) / 100, 1)
         W[0, 1] = 0.01
         g = graph_from(W + W.T)
-        assert _exact_weights(g).dtype == object
+        # (n-2) x the scaled pair-weight sum is past what int64 holds
+        assert (g.n - 2) * sum(map(sum, _exact_weights(g))) // 2 >= 2**63
         want, _ = assert_same_search(g)
         assert want.rho > 1
 
@@ -273,7 +274,7 @@ def test_pruned_search_matches_unpruned_oracle(g):
     _, least = assert_same_search(g)
     W = g.weights if g.integral else np.array(
         [[Fraction(x) for x in row] for row in g.weights.tolist()], dtype=object)
-    assert _optimal_total(W) == least
+    assert _optimal_total(_inside(W.tolist())) == least
 
 
 def test_prefix_bases_are_base_costs_of_prefixes():
@@ -287,7 +288,8 @@ def test_prefix_bases_are_base_costs_of_prefixes():
 
 def test_first_argmin_beyond_first_chunk():
     n = 8
-    first_chunk = {_nested_from_masks(row) for row in next(_search_order(n))}
+    first_chunk = {oracle_nested_from_masks(row)
+                   for row in next(oracle_search_order(n))}
     rng = np.random.default_rng(61)
     late = 0
     for density in (0.3, 0.5, 0.7, 0.9):
@@ -298,17 +300,170 @@ def test_first_argmin_beyond_first_chunk():
     assert late >= 2
 
 
-def test_decode_matches_nested_any_oracle():
-    for chunk in _search_order(6):
-        for row in chunk:
-            assert _nested_from_masks(row) == oracle_nested_from_masks(row)
-            assert (_nested_from_masks(row[::-1])
-                    == oracle_nested_from_masks(row[::-1]))
-
-
 def test_n9_search_is_fast():
     rng = np.random.default_rng(67)
     g = random_int_graph(rng, 9)
     start = time.perf_counter()
     optimal_ratio_bruteforce(g)
     assert time.perf_counter() - start < 1.0
+
+
+# `hcratio brute` stdout, plain and --records, for graphs with n = 9 and 10:
+# perfbench-style perfect, perturbed, claw and random-weight graphs, a
+# 2-decimal float graph, the perturbed graph x 0.1, a 10-cycle and the
+# all-zero graph, as recorded from the earlier chunked numpy search.
+WIDE_MATRICES = {
+    'perfect': (
+        '0 1 4 5 1 1 1 1 1 1\n'
+        '1 0 1 1 2 4 1 1 1 2\n'
+        '4 1 0 4 1 1 1 1 1 1\n'
+        '5 1 4 0 1 1 1 1 1 1\n'
+        '1 2 1 1 0 2 1 1 1 3\n'
+        '1 4 1 1 2 0 1 1 1 2\n'
+        '1 1 1 1 1 1 0 3 3 1\n'
+        '1 1 1 1 1 1 3 0 4 1\n'
+        '1 1 1 1 1 1 3 4 0 1\n'
+        '1 2 1 1 3 2 1 1 1 0\n'
+    ),
+    'perturbed': (
+        '0 11 11 32 11 13 9 70 18 13\n'
+        '11 0 36 10 33 18 9 14 13 90\n'
+        '11 36 0 12 50 13 17 10 11 45\n'
+        '32 10 12 0 11 8 15 30 16 17\n'
+        '11 33 50 11 0 18 8 18 16 54\n'
+        '13 18 13 8 18 0 44 15 108 12\n'
+        '9 9 17 15 8 44 0 18 36 11\n'
+        '70 14 10 30 18 15 18 0 12 18\n'
+        '18 13 11 16 16 108 36 12 0 11\n'
+        '13 90 45 17 54 12 11 18 11 0\n'
+    ),
+    'claw': (
+        '0 2 4 2 2 2 3 3 2 3\n'
+        '2 0 2 4 1 1 3 3 1 3\n'
+        '4 2 0 2 2 2 3 3 2 3\n'
+        '2 4 2 0 1 1 3 3 1 3\n'
+        '2 1 2 1 0 4 3 3 4 3\n'
+        '2 1 2 1 4 0 3 3 4 3\n'
+        '3 3 3 3 3 3 0 4 3 4\n'
+        '3 3 3 3 3 3 4 0 3 4\n'
+        '2 1 2 1 4 4 3 3 0 3\n'
+        '3 3 3 3 3 3 4 4 3 0\n'
+    ),
+    'random_weights': (
+        '0 2 1 3 0 1 3 3 3\n'
+        '2 0 0 3 0 2 0 0 1\n'
+        '1 0 0 1 1 0 3 2 2\n'
+        '3 3 1 0 0 2 2 3 1\n'
+        '0 0 1 0 0 0 0 3 0\n'
+        '1 2 0 2 0 0 2 2 1\n'
+        '3 0 3 2 0 2 0 2 0\n'
+        '3 0 2 3 3 2 2 0 1\n'
+        '3 1 2 1 0 1 0 1 0\n'
+    ),
+    'decimal': (
+        '0.0 0.01 0.04 0.55 0.87 0.53 0.52 0.36 0.94\n'
+        '0.01 0.0 0.61 0.08 0.59 0.4 0.19 0.9 0.1\n'
+        '0.04 0.61 0.0 0.53 0.39 0.01 0.32 0.14 0.51\n'
+        '0.55 0.08 0.53 0.0 0.84 0.22 0.21 0.99 0.35\n'
+        '0.87 0.59 0.39 0.84 0.0 0.33 0.24 0.62 0.69\n'
+        '0.53 0.4 0.01 0.22 0.33 0.0 0.41 0.45 0.07\n'
+        '0.52 0.19 0.32 0.21 0.24 0.41 0.0 0.94 0.86\n'
+        '0.36 0.9 0.14 0.99 0.62 0.45 0.94 0.0 0.17\n'
+        '0.94 0.1 0.51 0.35 0.69 0.07 0.86 0.17 0.0\n'
+    ),
+    'cycle': "".join(" ".join("1" if abs(i - j) in (1, 9) else "0"
+                              for j in range(10)) + "\n" for i in range(10)),
+    'zero': "0 0 0 0 0 0 0 0 0 0\n" * 10,
+}
+WIDE_STDOUT = {
+    'perfect': (
+        'rho 1 (1.0)\n'
+        'tree ((((0,3),2),((1,5),(4,9))),(6,(7,8)));\n'
+        'trees-searched 34459425\n',
+        'rho\t1\n'
+        'rho-decimal\t1.0\n'
+        'tree\t((((0,3),2),((1,5),(4,9))),(6,(7,8)));\n'
+        'trees-searched\t34459425\n',
+    ),
+    'perturbed': (
+        'rho 1739/1693 (1.0271707028942705)\n'
+        'tree ((((0,7),3),((5,8),6)),((1,9),(2,4)));\n'
+        'trees-searched 34459425\n',
+        'rho\t1739/1693\n'
+        'rho-decimal\t1.0271707028942705\n'
+        'tree\t((((0,7),3),((5,8),6)),((1,9),(2,4)));\n'
+        'trees-searched\t34459425\n',
+    ),
+    'claw': (
+        'rho 1 (1.0)\n'
+        'tree ((((0,2),((6,9),7)),(1,3)),((4,8),5));\n'
+        'trees-searched 34459425\n',
+        'rho\t1\n'
+        'rho-decimal\t1.0\n'
+        'tree\t((((0,2),((6,9),7)),(1,3)),((4,8),5));\n'
+        'trees-searched\t34459425\n',
+    ),
+    'random_weights': (
+        'rho 179/153 (1.1699346405228759)\n'
+        'tree ((((((0,7),3),(2,6)),8),(1,5)),4);\n'
+        'trees-searched 2027025\n',
+        'rho\t179/153\n'
+        'rho-decimal\t1.1699346405228759\n'
+        'tree\t((((((0,7),3),(2,6)),8),(1,5)),4);\n'
+        'trees-searched\t2027025\n',
+    ),
+    'decimal': (
+        'rho 1.1451520367183017\n'
+        'tree (((((0,8),6),((3,7),4)),5),(1,2));\n'
+        'trees-searched 2027025\n',
+        'rho\t1.1451520367183017\n'
+        'rho-decimal\t1.1451520367183017\n'
+        'tree\t(((((0,8),6),((3,7),4)),5),(1,2));\n'
+        'trees-searched\t2027025\n',
+    ),
+    'tenth': (
+        'rho 1.0271707028942705\n'
+        'tree ((((0,7),3),((5,8),6)),((1,9),(2,4)));\n'
+        'trees-searched 34459425\n',
+        'rho\t1.0271707028942705\n'
+        'rho-decimal\t1.0271707028942705\n'
+        'tree\t((((0,7),3),((5,8),6)),((1,9),(2,4)));\n'
+        'trees-searched\t34459425\n',
+    ),
+    'cycle': (
+        'rho 12/5 (2.4)\n'
+        'tree ((((0,1),2),(3,4)),(((5,6),7),(8,9)));\n'
+        'trees-searched 34459425\n',
+        'rho\t12/5\n'
+        'rho-decimal\t2.4\n'
+        'tree\t((((0,1),2),(3,4)),(((5,6),7),(8,9)));\n'
+        'trees-searched\t34459425\n',
+    ),
+    'zero': (
+        'rho 1 (1.0)\n'
+        'tree (((((((((0,1),9),8),7),6),5),4),3),2);\n'
+        'trees-searched 34459425\n',
+        'rho\t1\n'
+        'rho-decimal\t1.0\n'
+        'tree\t(((((((((0,1),9),8),7),6),5),4),3),2);\n'
+        'trees-searched\t34459425\n',
+    ),
+}
+
+
+def wide_matrix(name):
+    if name != "tenth":
+        return WIDE_MATRICES[name]
+    rows = WIDE_MATRICES["perturbed"].splitlines()
+    return "".join(" ".join(repr(int(x) * 0.1) for x in row.split()) + "\n"
+                   for row in rows)
+
+
+@pytest.mark.parametrize("name", list(WIDE_STDOUT))
+def test_wide_graphs_print_recorded_stdout(capsys, tmp_path, name):
+    body = wide_matrix(name)
+    f = tmp_path / "g.txt"
+    f.write_text(f"{body.count(chr(10))}\n{body}")
+    for extra, want in zip(([], ["--records"]), WIDE_STDOUT[name]):
+        assert main(["brute", str(f), *extra]) == 0
+        assert capsys.readouterr().out == want

@@ -111,6 +111,16 @@ def test_detect_records(capsys, p4, p5):
     assert out == "verdict\tnot-perfect\nfailing\t0,1,2,3,4\n"
 
 
+def test_detect_failing_names_are_quoted(capsys, tmp_path):
+    g = tmp_path / "named.txt"
+    g.write_text("a,1 b 1\nb c 1\nc d 1\nd e'x 1\n")
+    code, out, _ = run(capsys, "detect", str(g))
+    assert (code, out) == (1, "not-perfect 'a,1',b,c,d,'e''x'\n")
+    code, out, _ = run(capsys, "detect", str(g), "--records")
+    assert (code, out) == (1, "verdict\tnot-perfect\n"
+                              "failing\t'a,1',b,c,d,'e''x'\n")
+
+
 def test_detect_epsilon_flag(capsys, tmp_path):
     g = tmp_path / "wobbly.txt"
     g.write_text(WOBBLY)
@@ -205,6 +215,30 @@ def test_brute_float_clique_is_exactly_one(capsys, tmp_path):
     assert out == ("rho 1.0\n"
                    "tree ((((((((0,1),8),7),6),5),4),3),2);\n"
                    "trees-searched 2027025\n")
+
+
+def test_float_zero_base_prints_float_ratio(capsys, tmp_path):
+    g = tmp_path / "half.txt"
+    g.write_text("a b 0.5\n")
+    t = tmp_path / "t.nwk"
+    t.write_text("(a,b);\n")
+    runs = {
+        ("brute",): "rho 1.0\ntree (a,b);\ntrees-searched 1\n",
+        ("brute", "--records"): ("rho\t1.0\nrho-decimal\t1.0\ntree\t(a,b);\n"
+                                 "trees-searched\t1\n"),
+        ("approx", "--delta", "1.5"): "ratio 1.0\nbound 13/4 (3.25)\n",
+        ("approx", "--delta", "1.5", "--records"): (
+            "verdict\tok\nratio\t1.0\nratio-decimal\t1.0\n"
+            "bound\t13/4\nbound-decimal\t3.25\n"),
+        ("cost", str(t)): ("dasgupta 1.0\ntotal 0.0\nbase 0.0\nratio 1.0\n"
+                           "consistent true\n"),
+        ("cost", str(t), "--records"): (
+            "dasgupta\t1.0\ntotal\t0.0\nbase\t0.0\nratio\t1.0\n"
+            "ratio-decimal\t1.0\nconsistent\ttrue\n"),
+    }
+    for (command, *rest), want in runs.items():
+        code, out, _ = run(capsys, command, str(g), *rest)
+        assert (code, out) == (0, want)
 
 
 @pytest.mark.parametrize("char", list("(),;:'"))
