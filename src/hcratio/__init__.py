@@ -17,7 +17,6 @@ from .cost import (
     is_consistent,
     ratio_cost,
     total_cost,
-    triplet_cost,
 )
 from .detect import DetectionResult, build_bisection
 from .errors import (
@@ -26,7 +25,6 @@ from .errors import (
     InvalidDelta,
     InvalidParam,
     InvalidTriplet,
-    InvalidVertex,
     InvalidWeight,
     LeafMismatch,
     NotZeroBase,
@@ -41,7 +39,6 @@ from .graph import (
     load_edge_list,
     load_graph,
     load_matrix,
-    min_triplet_cost,
     triplet_type,
 )
 from .randgraph import (
@@ -58,7 +55,6 @@ from .randgraph import (
 )
 from .tree import (
     HcTree,
-    TripletRelation,
     binarize,
     parse_newick,
     serialize_newick,
@@ -68,16 +64,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SimilarityGraph", "TripletType", "base_cost", "load_edge_list",
-    "load_graph", "load_matrix", "min_triplet_cost", "triplet_type",
-    "HcTree", "TripletRelation", "binarize", "parse_newick", "serialize_newick",
+    "load_graph", "load_matrix", "triplet_type",
+    "HcTree", "binarize", "parse_newick", "serialize_newick",
     "CostReport", "cost_report", "dasgupta_cost", "find_inconsistent_triplet",
-    "is_consistent", "ratio_cost", "total_cost", "triplet_cost",
+    "is_consistent", "ratio_cost", "total_cost",
     "DetectionResult", "build_bisection", "approx_tree",
     "Optimum", "enumerate_trees", "optimal_ratio_bruteforce",
     "ProbabilityMatrix", "ErModel", "PlantedModel", "ExperimentReport",
     "gen_er", "gen_planted", "expected_base_cost", "expectation_tree_total_cost",
     "predicted_rho", "run_experiment",
     "HcratioError", "ParseError", "DuplicateEdge", "InvalidWeight", "SelfLoop",
-    "InvalidTriplet", "InvalidVertex", "LeafMismatch", "NotZeroBase",
+    "InvalidTriplet", "LeafMismatch", "NotZeroBase",
     "InvalidDelta", "TooLarge", "InvalidParam",
 ]

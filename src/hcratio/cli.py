@@ -166,8 +166,7 @@ def cmd_random(ns) -> int:
                              q=_param("Q", q))
         params = [("model", "planted"), ("n", _fmt(model.n)),
                   ("p", _fmt(model.p)), ("q", _fmt(model.q))]
-    report = run_experiment(model, trials=ns.trials, seed_base=ns.seed,
-                            jobs=ns.jobs)
+    report = run_experiment(model, trials=ns.trials, seed_base=ns.seed)
     summary = [
         ("predicted-rho", _fmt(report.predicted_rho)),
         ("expected-base", _fmt(report.expected_base_cost)),

@@ -21,7 +21,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import LeafMismatch
-from .graph import SimilarityGraph, _check_triplet, _triplet_rows, base_cost
+from .graph import SimilarityGraph, _triplet_rows, base_cost
 from .tree import HcTree
 
 Value = Union[int, float]
@@ -70,21 +70,6 @@ def total_cost(g: SimilarityGraph, t: HcTree) -> Value:
     exactly when every positive pair is merged as a sibling cherry.
     """
     return _pair_sums(g, _lca_counts(g, t))[1]
-
-
-def triplet_cost(g: SimilarityGraph, t: HcTree, i: int, j: int, k: int) -> Value:
-    """Cost this tree's merge order charges the triplet {i, j, k}.
-
-    The pair merged first is free; the other two weights are paid once each.
-    A simultaneous merge pays all three.
-    """
-    _check_triplet(g, i, j, k)
-    rel = t.merge_relation(i, j, k)
-    if rel.is_simultaneous:
-        return g.weight(i, j) + g.weight(i, k) + g.weight(j, k)
-    a, b = rel.pair
-    out = rel.outsider
-    return g.weight(a, out) + g.weight(b, out)
 
 
 def ratio_cost(g: SimilarityGraph, t: HcTree) -> Union[Fraction, float]:

@@ -25,10 +25,6 @@ class InvalidTriplet(HcratioError):
     """Triplet indices are out of range or not pairwise distinct."""
 
 
-class InvalidVertex(HcratioError):
-    """A vertex id does not name a leaf of the tree at hand."""
-
-
 class LeafMismatch(HcratioError):
     """Tree leaves and graph vertices (or labels) do not line up."""
 

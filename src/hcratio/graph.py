@@ -191,15 +191,9 @@ def triplet_type(g: SimilarityGraph, i: int, j: int, k: int) -> TripletType:
     return TripletType.type1(*ea)
 
 
-def min_triplet_cost(g: SimilarityGraph, i: int, j: int, k: int):
-    """Sum of the two smallest pairwise weights of the triplet."""
-    _check_triplet(g, i, j, k)
-    a, b, c = g.weight(i, j), g.weight(i, k), g.weight(j, k)
-    return a + b + c - max(a, b, c)
-
-
 def base_cost(g: SimilarityGraph):
-    """Sum of min_triplet_cost over all unordered triplets (0 when n < 3).
+    """Sum over unordered triplets of the two smallest pairwise weights
+    (0 when n < 3).
 
     Integer weights are counted exactly by one of two kernels, chosen from
     n and the number L of distinct positive weights (``_LEVEL_KERNEL_MIN_N``,

@@ -281,21 +281,17 @@ class ExperimentReport:
         return sum(self.rho_estimates) / len(self.rho_estimates)
 
 
-def run_experiment(model: Model, trials: int, seed_base: int,
-                   jobs: int = 1) -> ExperimentReport:
+def run_experiment(model: Model, trials: int, seed_base: int) -> ExperimentReport:
     """Sample `trials` graphs (seeds seed_base + t) and compare to predictions.
 
     Each trial's ratio estimate divides the closed-form tree cost of the
     expectation graph by that sample's exact base cost, under the ratio
     rule of ``cost.ratio_of`` (0/0 = 1).  Trials run in order in the
     calling thread, and each one's matrix product uses every core through
-    BLAS; ``jobs`` is validated but starts no thread, so the report is the
-    same for any value.
+    BLAS.
     """
     if trials < 1:
         raise InvalidParam(f"need trials >= 1, got {trials}")
-    if jobs < 1:
-        raise InvalidParam(f"need jobs >= 1, got {jobs}")
     if seed_base < 0:
         raise InvalidParam(f"need seed >= 0, got {seed_base}")
     tree_total = expectation_tree_total_cost(model)

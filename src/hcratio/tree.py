@@ -1,4 +1,4 @@
-"""Rooted clustering trees: LCA queries, merge relations, Newick, binarize.
+"""Rooted clustering trees: LCA leaf counts, Newick, binarize.
 
 Leaves carry vertex ids (arbitrary ints, usually 0..n-1).  Children are kept
 in canonical order — ascending smallest descendant leaf — so equal trees have
@@ -10,33 +10,12 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidVertex, LeafMismatch, ParseError
-
-
-@dataclass(frozen=True)
-class TripletRelation:
-    """Merge order of three leaves: one pair first, or all simultaneously."""
-
-    pair: Optional[tuple[int, int]] = None
-    outsider: Optional[int] = None
-
-    @classmethod
-    def merged_first(cls, a: int, b: int, outsider: int) -> "TripletRelation":
-        return cls(pair=(min(a, b), max(a, b)), outsider=outsider)
-
-    @classmethod
-    def simultaneous(cls) -> "TripletRelation":
-        return cls()
-
-    @property
-    def is_simultaneous(self) -> bool:
-        return self.pair is None
+from .errors import LeafMismatch, ParseError
 
 
 class HcTree:
@@ -47,21 +26,23 @@ class HcTree:
     ``HcTree.from_nested(((0, 1), (2, 3)))``.
     """
 
-    __slots__ = ("_parent", "_children", "_leaf_vertex", "_order", "_depth",
-                 "_leaf_count", "_node_of", "root", "vertices", "n_leaves")
+    __slots__ = ("_children", "_leaf_vertex", "_order", "root", "vertices",
+                 "n_leaves")
 
-    def __init__(self, parent, children, leaf_vertex, root):
-        self._parent = parent
+    def __init__(self, children, leaf_vertex, root):
         self._children = children
         self._leaf_vertex = leaf_vertex
         self.root = root
-        self._node_of = {}
-        for u, v in enumerate(leaf_vertex):
-            if v is not None:
-                if v in self._node_of:
-                    raise LeafMismatch(f"leaf vertex {v} appears twice")
-                self._node_of[v] = u
-        self.vertices = tuple(sorted(self._node_of))
+        seen = set()
+        for v, kids in zip(leaf_vertex, children):
+            if v is None:
+                if len(kids) < 2:
+                    raise LeafMismatch("internal node with fewer than 2 children")
+            elif v in seen:
+                raise LeafMismatch(f"leaf vertex {v} appears twice")
+            else:
+                seen.add(v)
+        self.vertices = tuple(sorted(seen))
         self.n_leaves = len(self.vertices)
 
         # DFS preorder, kept for every fold: reordering child lists
@@ -72,26 +53,14 @@ class HcTree:
             u = stack.pop()
             order.append(u)
             stack.extend(reversed(children[u]))
-        if len(order) != len(parent):
+        if len(order) != len(children):
             raise LeafMismatch("disconnected or cyclic node table")
         self._order = order
-
-        self._depth = [0] * len(parent)
-        for u in order:
-            p = parent[u]
-            self._depth[u] = 0 if p is None else self._depth[p] + 1
-
-        def count(kids):
-            if len(kids) < 2:
-                raise LeafMismatch("internal node with fewer than 2 children")
-            return sum(kids)
-
-        self._leaf_count = self._fold(lambda v: 1, count)
 
     def _fold(self, leaf, node) -> list:
         """Per-node-id values, children first: ``leaf(vertex)`` at each leaf,
         ``node([child values])`` at each internal node."""
-        out: list = [None] * len(self._parent)
+        out: list = [None] * len(self._children)
         for u in reversed(self._order):
             v = self._leaf_vertex[u]
             out[u] = leaf(v) if v is not None else \
@@ -124,13 +93,12 @@ class HcTree:
     @classmethod
     def from_nested(cls, nested) -> "HcTree":
         """Build from nested tuples/lists of leaf ids; ints are leaves."""
-        parent, children, leaf_vertex = [], [], []
+        children, leaf_vertex = [], []
 
         def new_node():
-            parent.append(None)
             children.append([])
             leaf_vertex.append(None)
-            return len(parent) - 1
+            return len(children) - 1
 
         root = new_node()
         # (node_id, shape); lists/tuples expand, ints become leaves
@@ -144,11 +112,10 @@ class HcTree:
                 raise LeafMismatch(f"bad tree node: {shape!r}")
             for child_shape in shape:
                 c = new_node()
-                parent[c] = u
                 children[u].append(c)
                 stack.append((c, child_shape))
 
-        tree = cls(parent, children, leaf_vertex, root)
+        tree = cls(children, leaf_vertex, root)
         tree._canonicalize()
         return tree
 
@@ -164,54 +131,9 @@ class HcTree:
 
     # -- queries -----------------------------------------------------------
 
-    def children(self, node: int) -> tuple[int, ...]:
-        return tuple(self._children[node])
-
-    def leaf_count(self, node: int) -> int:
-        return self._leaf_count[node]
-
-    def is_leaf(self, node: int) -> bool:
-        return self._leaf_vertex[node] is not None
-
     @property
     def is_binary(self) -> bool:
         return all(len(k) in (0, 2) for k in self._children)
-
-    def node_of(self, vertex: int) -> int:
-        try:
-            return self._node_of[vertex]
-        except KeyError:
-            raise InvalidVertex(f"no leaf for vertex {vertex}") from None
-
-    def lca(self, i: int, j: int) -> int:
-        """Deepest node ancestral to both leaves (i == j gives the leaf)."""
-        a, b = self.node_of(i), self.node_of(j)
-        da, db = self._depth[a], self._depth[b]
-        while da > db:
-            a = self._parent[a]
-            da -= 1
-        while db > da:
-            b = self._parent[b]
-            db -= 1
-        while a != b:
-            a = self._parent[a]
-            b = self._parent[b]
-        return a
-
-    def merge_relation(self, i: int, j: int, k: int) -> TripletRelation:
-        """Which of {i,j|k}, {i,k|j}, {j,k|i}, {i|j|k} holds in this tree."""
-        if len({i, j, k}) != 3:
-            raise InvalidVertex(f"need three distinct vertices, got {(i, j, k)}")
-        cand = ((self._depth[self.lca(i, j)], (i, j), k),
-                (self._depth[self.lca(i, k)], (i, k), j),
-                (self._depth[self.lca(j, k)], (j, k), i))
-        top = max(d for d, _, _ in cand)
-        deepest = [(pair, out) for d, pair, out in cand if d == top]
-        if len(deepest) == 3:
-            return TripletRelation.simultaneous()
-        # ancestors of a leaf form a chain, so exactly one LCA is strictly deepest
-        pair, out = deepest[0]
-        return TripletRelation.merged_first(pair[0], pair[1], out)
 
     def lca_leaf_counts(self) -> np.ndarray:
         """Matrix M with M[i, j] = leaf count under lca(i, j), for vertices 0..n-1.
@@ -274,7 +196,6 @@ def _split_top_down(vertices, split):
     that order.  Iterative, so deep splits do not hit the recursion limit.
     """
     sets = [tuple(vertices)]
-    parent: list = [None]
     children: list = [[]]
     stack = [0]
     while stack:
@@ -286,11 +207,10 @@ def _split_top_down(vertices, split):
             return None, sets[i]
         children[i] = list(range(len(sets), len(sets) + len(parts)))
         sets.extend(parts)
-        parent.extend([i] * len(parts))
         children.extend([] for _ in parts)
         stack.extend(children[i])
     leaf_vertex = [int(s[0]) if len(s) == 1 else None for s in sets]
-    tree = HcTree(parent, children, leaf_vertex, 0)
+    tree = HcTree(children, leaf_vertex, 0)
     tree._canonicalize()
     return tree, None
 

@@ -8,7 +8,6 @@ import math
 import time
 import warnings
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from hcratio import (
     ratio_cost,
     run_experiment,
     total_cost,
-    triplet_cost,
 )
 from hcratio.brute import _inside, _optimal_total
 from hcratio.cli import main as cli_main
@@ -38,6 +36,7 @@ from helpers import (
     graph_from,
     is_connected,
     linked_stars,
+    oracle_triplet_sum,
     path_graph,
     random_nested,
 )
@@ -183,9 +182,7 @@ def test_criterion_05_cost_identities(capsys):
         if tot != das - 2 * g.total_weight():
             problems.append(f"edge identity broke at n={n}")
             break
-        trip = sum(triplet_cost(g, t, i, j, k)
-                   for i, j, k in combinations(range(n), 3))
-        if tot != trip:
+        if tot != oracle_triplet_sum(g.weights, t.to_nested()):
             problems.append(f"triplet identity broke at n={n}")
             break
     _report(capsys, 5, not problems,
@@ -310,7 +307,7 @@ def test_criterion_08_large_random_concentration(capsys):
 
 def test_criterion_08_large_random_concentration_n2000(capsys):
     t0 = time.perf_counter()
-    rep = run_experiment(ErModel(2000, 0.5), trials=5, seed_base=7, jobs=2)
+    rep = run_experiment(ErModel(2000, 0.5), trials=5, seed_base=7)
     problems = []
     ebc = rep.expected_base_cost
     for b, rho in zip(rep.base_costs, rep.rho_estimates):
@@ -329,7 +326,7 @@ def test_criterion_08_large_random_concentration_n2000(capsys):
 
 def test_criterion_08_large_random_concentration_n5000(capsys):
     t0 = time.perf_counter()
-    rep = run_experiment(ErModel(5000, 0.5), trials=2, seed_base=7, jobs=2)
+    rep = run_experiment(ErModel(5000, 0.5), trials=2, seed_base=7)
     problems = []
     ebc = rep.expected_base_cost
     for b, rho in zip(rep.base_costs, rep.rho_estimates):

@@ -23,6 +23,7 @@ from helpers import (
     random_int_graph,
     star_graph,
     tie_heavy_graphs,
+    triplet_relation,
     ultrametric,
 )
 
@@ -194,9 +195,10 @@ def test_approx_satisfies_every_constraint():
             if t is None:
                 continue
             produced += 1
+            nested = t.to_nested()
             for c in cons:
-                rel = t.merge_relation(*c.pair, c.outsider)
-                assert rel.pair == c.pair and rel.outsider == c.outsider
+                assert triplet_relation(nested, *c.pair, c.outsider) == \
+                    ("pair", c.pair, c.outsider)
     assert produced >= 40
 
 

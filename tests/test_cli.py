@@ -465,11 +465,15 @@ def test_flags_do_not_leak_into_the_next_call(capsys, tmp_path):
     assert not emitted.exists()
 
     er = ["random", "--er", "12", "0.5", "--trials", "1", "--seed", "3"]
-    with mock.patch.object(cli, "run_experiment",
-                           wraps=cli.run_experiment) as experiment:
-        run(capsys, "--jobs", "2", *er)
-        run(capsys, *er)
-    assert [c.kwargs["jobs"] for c in experiment.call_args_list] == [2, 1]
+    build_parser.cache_clear()  # the rebuilt parser binds the wrapped command
+    try:
+        with mock.patch.object(cli, "cmd_random",
+                               wraps=cli.cmd_random) as command:
+            run(capsys, "--jobs", "2", *er)
+            run(capsys, *er)
+    finally:
+        build_parser.cache_clear()
+    assert [c.args[0].jobs for c in command.call_args_list] == [2, 1]
 
 
 @pytest.mark.parametrize("bad", [[], ["--records", "detect"], ["cost", "g"],

@@ -22,7 +22,6 @@ from hcratio import (
     is_consistent,
     ratio_cost,
     total_cost,
-    triplet_cost,
 )
 
 from helpers import (
@@ -37,6 +36,7 @@ from helpers import (
     random_int_graph,
     random_nested,
     star_graph,
+    triplet_relation,
     ultrametric_multi_tree,
 )
 
@@ -117,13 +117,14 @@ def test_ratio_float_for_float_weights():
 
 
 def test_triplet_cost_cases():
+    # on three vertices the total cost is the one triplet's charge
     g = graph_from([[0, 5, 1], [5, 0, 2], [1, 2, 0]])
     pair01 = HcTree.from_nested(((0, 1), 2))
-    assert triplet_cost(g, pair01, 0, 1, 2) == 1 + 2  # separated pays its edges
+    assert total_cost(g, pair01) == 1 + 2  # separated pays its edges
     pair02 = HcTree.from_nested(((0, 2), 1))
-    assert triplet_cost(g, pair02, 0, 1, 2) == 5 + 2
+    assert total_cost(g, pair02) == 5 + 2
     simul = HcTree.from_nested((0, 1, 2))
-    assert triplet_cost(g, simul, 0, 1, 2) == 5 + 1 + 2
+    assert total_cost(g, simul) == 5 + 1 + 2
 
 
 def test_leaf_mismatch_rejected():
@@ -147,8 +148,6 @@ def test_identities_on_random_pairs(n, seed):
     # the two decompositions of total cost agree exactly
     assert tot == das - 2 * g.total_weight()
     assert tot == oracle_triplet_sum(g.weights, nested)
-    assert tot == sum(triplet_cost(g, t, i, j, k)
-                      for i, j, k in combinations(range(n), 3))
 
 
 @given(st.integers(2, 9), st.integers(0, 10**6))
@@ -246,11 +245,12 @@ def test_consistency_matches_triplet_scan(n, seed):
     rng = np.random.default_rng(seed)
     g = random_int_graph(rng, n)
     t = HcTree.from_nested(random_nested(rng, n))
+    nested = t.to_nested()
 
     def violates(i, j, k):
-        rel = t.merge_relation(i, j, k)
+        rel = triplet_relation(nested, i, j, k)
         tot = g.weight(i, j) + g.weight(i, k) + g.weight(j, k)
-        paid = tot if rel.is_simultaneous else tot - g.weight(*rel.pair)
+        paid = tot if rel[0] == "simul" else tot - g.weight(*rel[1])
         floor = tot - max(g.weight(i, j), g.weight(i, k), g.weight(j, k))
         return paid != floor
 

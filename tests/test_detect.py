@@ -51,6 +51,7 @@ from helpers import (
     path_graph,
     star_graph,
     tie_heavy_graphs,
+    triplet_relation,
     ultrametric,
     ultrametric_multi,
 )
@@ -732,13 +733,14 @@ def assert_respects_triplets(g, t):
     """Each triplet merges as ``triplet_type`` reads it under g's epsilon:
     a Type-1 maximum first, a Type-2 base never first, and only a Type-3
     triplet simultaneously."""
+    nested = t.to_nested()
     for i, j, k in combinations(range(g.n), 3):
         tt = triplet_type(g, i, j, k)
-        rel = t.merge_relation(i, j, k)
+        rel = triplet_relation(nested, i, j, k)
         if tt.is_type1:
-            assert rel.pair == tt.max_pair, (i, j, k)
+            assert rel[0] == "pair" and rel[1] == tt.max_pair, (i, j, k)
         elif tt.is_type2:
-            assert not rel.is_simultaneous and tt.apex in rel.pair, (i, j, k)
+            assert rel[0] == "pair" and tt.apex in rel[1], (i, j, k)
 
 
 @given(tie_heavy_graphs())

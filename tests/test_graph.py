@@ -19,7 +19,6 @@ from hcratio import (
     load_edge_list,
     load_graph,
     load_matrix,
-    min_triplet_cost,
     triplet_type,
 )
 from hcratio import approx_tree, detect
@@ -585,10 +584,9 @@ def from_weights3(w01, w02, w12):
 
 
 def test_min_triplet_cost_is_two_smallest():
-    g = from_weights3(5, 1, 2)
-    assert min_triplet_cost(g, 0, 1, 2) == 3
-    g2 = from_weights3(0, 0, 0)
-    assert min_triplet_cost(g2, 0, 1, 2) == 0
+    # on three vertices the base cost is the one triplet's minimum
+    assert base_cost(from_weights3(5, 1, 2)) == 3
+    assert base_cost(from_weights3(0, 0, 0)) == 0
 
 
 # -- base cost ----------------------------------------------------------------

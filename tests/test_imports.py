@@ -1,10 +1,12 @@
 """No module in the package or the tests imports a name it never uses, and
-no private helper of the package is left unread.
+no private helper or public class member of the package is left unread.
 
 A stdlib stand-in for a linter's unused-import and dead-code rules.  Every
 name an import binds must be read somewhere in its module; names listed in
 ``__all__`` and ``from __future__`` imports count as used.  Every
 module-level ``_name`` of the package must be read somewhere in the package.
+Every public method and property of a package class must be taken as an
+attribute somewhere in the package or the tests.
 """
 
 import ast
@@ -99,3 +101,47 @@ def test_no_unread_private_names():
     sources = {p.stem: p.read_text(encoding="utf-8")
                for p in (ROOT / "src" / "hcratio").glob("*.py")}
     assert unread_private_names(sources) == []
+
+
+def unread_public_members(package: dict[str, str],
+                          readers: dict[str, str]) -> list[str]:
+    """Public methods and properties of the package's classes that no
+    source of ``package`` or ``readers`` takes as an attribute, as
+    'Class.name'.  Dunders are exempt, as is every ``_name``."""
+    defined = []
+    read: set[str] = set()
+    for module, source in {**package, **readers}.items():
+        tree = ast.parse(source)
+        if module in package:
+            defined += [(node.name, f.name) for node in tree.body
+                        if isinstance(node, ast.ClassDef)
+                        for f in node.body
+                        if isinstance(f, ast.FunctionDef)
+                        and not f.name.startswith("_")]
+        read.update(node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute))
+    return [f"{cls}.{name}" for cls, name in defined if name not in read]
+
+
+def test_member_checker_flags_only_unread_names():
+    package = {"a": ("class K:\n"
+                     "    size = 3\n"
+                     "    def __len__(self): return 0\n"
+                     "    def _hidden(self): pass\n"
+                     "    def used(self): pass\n"
+                     "    @property\n"
+                     "    def seen(self): return 1\n"
+                     "    def dead(self): pass\n"
+                     "    @property\n"
+                     "    def gone(self): return 2\n"
+                     "def helper(k): return k.used()\n")}
+    readers = {"t": "from a import K\nprint(K().seen)\n"}
+    assert unread_public_members(package, readers) == ["K.dead", "K.gone"]
+
+
+def test_no_unread_public_members():
+    package = {f"hcratio.{p.stem}": p.read_text(encoding="utf-8")
+               for p in (ROOT / "src" / "hcratio").glob("*.py")}
+    readers = {f"tests.{p.stem}": p.read_text(encoding="utf-8")
+               for p in (ROOT / "tests").glob("*.py")}
+    assert unread_public_members(package, readers) == []

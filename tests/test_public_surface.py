@@ -1,6 +1,12 @@
-"""``hcratio.__all__`` names the public surface; each name must resolve."""
+"""``hcratio.__all__`` names the public surface; each name must resolve,
+and the README's "Library surface" section must agree with it."""
+
+import re
+from pathlib import Path
 
 import hcratio
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 # stage internals that live only in hcratio.detect and hcratio.approx
 MODULE_ONLY = [
@@ -17,7 +23,18 @@ def test_all_names_resolve_once():
 
 
 def test_stage_internals_stay_in_their_modules():
-    assert len(hcratio.__all__) <= 49
+    assert len(hcratio.__all__) <= 45
     assert [n for n in MODULE_ONLY if hasattr(hcratio, n)] == []
     assert all(hasattr(hcratio.detect, n) or hasattr(hcratio.approx, n)
                for n in MODULE_ONLY)
+
+
+def test_readme_library_surface_matches_the_package():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Library surface\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```python\n(from hcratio import \(.*?\))\n```",
+                      section, re.S).group(1)
+    exec(block, {})  # every name the README imports exists
+    (count,) = re.findall(r"`hcratio.__all__` lists the public names \((\d+)\)",
+                          section)
+    assert int(count) == len(hcratio.__all__)

@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from hcratio import (
     HcTree,
-    InvalidVertex,
     LeafMismatch,
     ParseError,
-    TripletRelation,
     binarize,
     parse_newick,
     serialize_newick,
@@ -45,7 +43,7 @@ def test_children_are_canonically_ordered():
 def test_multifurcating_nodes_allowed():
     t = HcTree.from_nested((0, 1, 2))
     assert not t.is_binary
-    assert t.leaf_count(t.root) == 3
+    assert t.n_leaves == 3
 
 
 def test_single_leaf_tree():
@@ -63,48 +61,54 @@ def test_singleton_internal_node_rejected():
         HcTree.from_nested(((0,), 1))
 
 
+# raw (children, leaf_vertex) node tables, rooted at node 0, as
+# _split_top_down hands them to the constructor
+@pytest.mark.parametrize("children, leaf_vertex, message", [
+    ([[1, 2], [], []], [None, 0, None], "fewer than 2 children"),
+    ([[1, 2], [], [3], []], [None, 0, None, 1], "fewer than 2 children"),
+    ([[1], []], [None, 0], "fewer than 2 children"),
+    ([[1, 2], [], []], [None, 0, 0], "leaf vertex 0 appears twice"),
+], ids=["no-child", "one-child", "one-child-root", "leaf-twice"])
+def test_raw_node_table_rejected(children, leaf_vertex, message):
+    with pytest.raises(LeafMismatch, match=message):
+        HcTree(children, leaf_vertex, 0)
+
+
+@pytest.mark.parametrize("split, message", [
+    (lambda verts: (), "fewer than 2 children"),
+    (lambda verts: ((verts[0],), (verts[0],)), "appears twice"),
+], ids=["no-part", "repeated-vertex"])
+def test_split_top_down_rejects_bad_splits(split, message):
+    with pytest.raises(LeafMismatch, match=message):
+        _split_top_down(range(3), split)
+
+
 def test_lca_and_leaf_counts():
-    t = HcTree.from_nested((((0, 1), 2), (3, 4)))
-    assert t.leaf_count(t.lca(0, 1)) == 2
-    assert t.leaf_count(t.lca(0, 2)) == 3
-    assert t.leaf_count(t.lca(0, 3)) == 5
-    assert t.leaf_count(t.lca(3, 4)) == 2
-    assert t.lca(2, 2) == t.node_of(2)
+    M = HcTree.from_nested((((0, 1), 2), (3, 4))).lca_leaf_counts()
+    assert (M[0, 1], M[0, 2], M[0, 3], M[3, 4], M[2, 2]) == (2, 3, 5, 2, 1)
 
 
 def test_lca_unknown_vertex():
-    t = HcTree.from_nested((0, 1))
-    with pytest.raises(InvalidVertex):
-        t.lca(0, 9)
+    # the matrix is indexed by vertex, so the leaves must be 0..n-1
+    t = HcTree.from_nested((0, 9))
+    with pytest.raises(LeafMismatch):
+        t.lca_leaf_counts()
 
 
 def test_merge_relation_pairs_and_outsiders():
-    t = HcTree.from_nested((((0, 1), 2), (3, 4)))
-    r = t.merge_relation(0, 1, 2)
-    assert r.pair == (0, 1) and r.outsider == 2
-    r = t.merge_relation(2, 3, 0)
-    assert r.pair == (0, 2) and r.outsider == 3
-    assert t.merge_relation(0, 3, 4).pair == (3, 4)
+    nested = HcTree.from_nested((((0, 1), 2), (3, 4))).to_nested()
+    assert triplet_relation(nested, 0, 1, 2) == ("pair", (0, 1), 2)
+    assert triplet_relation(nested, 2, 3, 0) == ("pair", (0, 2), 3)
+    assert triplet_relation(nested, 0, 3, 4) == ("pair", (3, 4), 0)
 
 
 def test_merge_relation_simultaneous():
-    t = HcTree.from_nested((0, 1, 2))
-    assert t.merge_relation(0, 1, 2).is_simultaneous
+    nested = HcTree.from_nested((0, 1, 2)).to_nested()
+    assert triplet_relation(nested, 0, 1, 2) == ("simul",)
     # three leaves hanging off the same node deeper down
-    t2 = HcTree.from_nested(((1, 2, 3), 0))
-    assert t2.merge_relation(1, 2, 3).is_simultaneous
-    assert not t2.merge_relation(0, 1, 2).is_simultaneous
-
-
-def test_merge_relation_requires_distinct():
-    t = HcTree.from_nested((0, 1, 2))
-    with pytest.raises(InvalidVertex):
-        t.merge_relation(0, 0, 1)
-
-
-def test_triplet_relation_factories():
-    assert TripletRelation.merged_first(2, 1, 0).pair == (1, 2)
-    assert TripletRelation.simultaneous().is_simultaneous
+    nested = HcTree.from_nested(((1, 2, 3), 0)).to_nested()
+    assert triplet_relation(nested, 1, 2, 3) == ("simul",)
+    assert triplet_relation(nested, 0, 1, 2) == ("pair", (1, 2), 0)
 
 
 def test_lca_leaf_counts_matrix():
@@ -163,7 +167,7 @@ def test_order_kept_from_before_canonicalization_gives_same_folds():
         n = int(rng.integers(1, 30))
         for nested in (random_nested_multi(rng, n), caterpillar(rng, n)):
             t = HcTree.from_nested(nested)
-            r = HcTree(t._parent, t._children, t._leaf_vertex, t.root)
+            r = HcTree(t._children, t._leaf_vertex, t.root)
             reordered += t._order != r._order
             assert np.array_equal(t.lca_leaf_counts(), r.lca_leaf_counts())
             assert t.to_nested() == r.to_nested()
@@ -177,7 +181,6 @@ def test_deep_caterpillar_does_not_recurse():
         nested = (nested, v)
     t = HcTree.from_nested(nested)
     assert t.n_leaves == 3000
-    assert t.leaf_count(t.lca(0, 2999)) == 3000
     assert parse_newick(serialize_newick(t)) == t
     assert binarize(t) == t
 
@@ -215,11 +218,11 @@ def test_folds_on_multifurcating_trees(n, seed):
 
     b = binarize(t)
     assert b.is_binary and b.vertices == t.vertices
+    binary = b.to_nested()
     for i, j, k in combinations(range(n), 3):
         rel = triplet_relation(nested, i, j, k)
         if rel[0] == "pair":
-            assert b.merge_relation(i, j, k) == \
-                TripletRelation.merged_first(*rel[1], rel[2])
+            assert triplet_relation(binary, i, j, k) == rel
 
     labels = [f"x{v}" for v in np.random.default_rng(seed).permutation(n)]
     assert parse_newick(serialize_newick(t, labels), labels) == t
@@ -314,10 +317,10 @@ def test_binarize_noop_on_binary():
 
 def test_binarize_preserves_merged_first_relations():
     t = HcTree.from_nested(((0, 1), 2, (3, 4)))
-    b = binarize(t)
+    b = binarize(t).to_nested()
     for (i, j, k) in [(0, 1, 2), (0, 1, 3), (3, 4, 0), (3, 4, 2)]:
-        r = t.merge_relation(i, j, k)
-        assert b.merge_relation(i, j, k) == r
+        r = triplet_relation(t.to_nested(), i, j, k)
+        assert r[0] == "pair" and triplet_relation(b, i, j, k) == r
 
 
 @given(st.integers(2, 9), st.integers(0, 10_000))
@@ -328,16 +331,11 @@ def test_random_trees_roundtrip_and_match_oracle(n, seed):
     t = HcTree.from_nested(nested)
     assert t.vertices == tuple(range(n))
     assert parse_newick(serialize_newick(t)) == t
-    # merge relations agree with the nested-structure oracle
-    if n >= 3:
-        trips = [(0, 1, 2), (0, 1, n - 1), (0, n - 2, n - 1)]
-        for (i, j, k) in {t3 for t3 in trips if len(set(t3)) == 3}:
-            rel = t.merge_relation(i, j, k)
-            orel = triplet_relation(nested, i, j, k)
-            if orel[0] == "simul":
-                assert rel.is_simultaneous
-            else:
-                assert rel.pair == orel[1] and rel.outsider == orel[2]
+    # the canonical tree merges every triplet as the input does
+    canon = t.to_nested()
+    for i, j, k in combinations(range(n), 3):
+        assert triplet_relation(canon, i, j, k) == \
+            triplet_relation(nested, i, j, k)
 
 
 def test_split_top_down_builds_deep_caterpillar():
