@@ -48,11 +48,10 @@ def _double_factorial(k: int) -> int:
     return math.prod(range(k, 1, -2))
 
 
-def _check_size(n: int, cap: int) -> None:
-    limit = min(cap, HARD_CAP)
-    if n > limit:
+def _check_size(n: int) -> None:
+    if n > HARD_CAP:
         raise TooLarge(f"{n} leaves means {_double_factorial(2 * n - 3):,} "
-                       f"trees; cap is {limit}")
+                       f"trees; cap is {HARD_CAP}")
 
 
 def _walk(n: int, inside: Optional[list] = None,
@@ -127,11 +126,11 @@ def _tree(masks: list, parents: list) -> HcTree:
     return HcTree.from_nested(nested(parents.index(-1)))
 
 
-def enumerate_trees(n: int, cap: int = HARD_CAP) -> Iterator[HcTree]:
+def enumerate_trees(n: int) -> Iterator[HcTree]:
     """Yield every binary tree on leaves 0..n-1 exactly once, in search order."""
     if n < 2:
         raise ValueError("need at least 2 leaves")
-    _check_size(n, cap)
+    _check_size(n)
     for _, masks, parents in _walk(n):
         yield _tree(masks, parents)
 
@@ -205,7 +204,7 @@ def _prefix_bases(rows) -> list:
     return bases
 
 
-def optimal_ratio_bruteforce(g: SimilarityGraph, cap: int = HARD_CAP) -> Optimum:
+def optimal_ratio_bruteforce(g: SimilarityGraph) -> Optimum:
     """Exact minimum ratio over every binary tree, with its first argmin.
 
     Every sum runs on the exact integers of ``_exact_weights``; the search
@@ -216,7 +215,7 @@ def optimal_ratio_bruteforce(g: SimilarityGraph, cap: int = HARD_CAP) -> Optimum
     n = g.n
     if n < 1:
         raise ValueError("empty graph")
-    _check_size(n, cap)
+    _check_size(n)
     if n == 1:
         return Optimum(rho=Fraction(1), tree=HcTree.from_nested(0),
                        trees_searched=1)

@@ -27,27 +27,46 @@ from .tree import _newick_name, parse_newick, serialize_newick
 
 
 def _fmt(x) -> str:
-    """Canonical text for a number: ints plain, floats via repr."""
+    """Canonical text for a value: bools as true/false, floats via repr."""
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, Fraction):
+    if isinstance(x, (str, int, Fraction)):
         return str(x)
     if isinf(x):
         return "inf"
     return repr(x)
 
 
-def _fmt_ratio(r) -> str:
-    """Exact form with decimal in parentheses, e.g. '4/3 (1.3333333333333333)'."""
-    if isinstance(r, Fraction):
-        return f"{r} ({float(r)!r})"
-    return _fmt(r)
+_RATIOS = ("ratio", "bound", "rho")  # fields printed exact with a decimal
 
 
-def _ratio_decimal(r) -> str:
-    return _fmt(float(r)) if not (isinstance(r, float) and isinf(r)) else "inf"
+def _print(ns, verdict: Optional[str], fields=()) -> None:
+    """Print one result: an optional verdict word, then ``(key, value)`` fields.
+
+    Plain lines are ``key value`` and records ``key<TAB>value``; a verdict is
+    a bare word, or the record ``verdict<TAB>word``.  A ratio field prints
+    exact with its decimal, ``4/3 (1.3333333333333333)``, and as a record
+    prints exact followed by a ``key-decimal`` record.
+    """
+    sep = "\t" if ns.records else " "
+    lines = [] if verdict is None else [
+        f"verdict\t{verdict}" if ns.records else verdict]
+    for key, value in fields:
+        lines.append(f"{key}{sep}{_fmt(value)}")
+        if key in _RATIOS:
+            decimal = _fmt(float(value))
+            if ns.records:
+                lines.append(f"{key}-decimal\t{decimal}")
+            elif isinstance(value, Fraction):
+                lines[-1] += f" ({decimal})"
+    print("\n".join(lines))
+
+
+def _emit_tree(ns, t, g: SimilarityGraph) -> None:
+    """Write ``t`` as Newick to ``--emit-tree``, if given, before any output."""
+    if ns.emit_tree:
+        with open(ns.emit_tree, "w", encoding="utf-8") as fh:
+            fh.write(serialize_newick(t, labels=g.labels) + "\n")
 
 
 def _read(path: str) -> str:
@@ -75,19 +94,9 @@ def cmd_cost(ns) -> int:
     g = _load_graph(ns.graph, ns.epsilon)
     t = parse_newick(_read(ns.tree), labels=g.labels)
     rep = cost_report(g, t)
-    if ns.records:
-        print(f"dasgupta\t{_fmt(rep.dasgupta)}")
-        print(f"total\t{_fmt(rep.total)}")
-        print(f"base\t{_fmt(rep.base)}")
-        print(f"ratio\t{_fmt(rep.ratio)}")
-        print(f"ratio-decimal\t{_ratio_decimal(rep.ratio)}")
-        print(f"consistent\t{_fmt(rep.consistent)}")
-    else:
-        print(f"dasgupta {_fmt(rep.dasgupta)}")
-        print(f"total {_fmt(rep.total)}")
-        print(f"base {_fmt(rep.base)}")
-        print(f"ratio {_fmt_ratio(rep.ratio)}")
-        print(f"consistent {_fmt(rep.consistent)}")
+    _print(ns, None, [("dasgupta", rep.dasgupta), ("total", rep.total),
+                      ("base", rep.base), ("ratio", rep.ratio),
+                      ("consistent", rep.consistent)])
     return 0
 
 
@@ -95,19 +104,13 @@ def cmd_detect(ns) -> int:
     g = _load_graph(ns.graph, ns.epsilon)
     result = build_bisection(g)
     if result.perfect:
-        if ns.records:
-            print("verdict\tperfect")
-        else:
-            print("perfect")
-        if ns.emit_tree:
-            with open(ns.emit_tree, "w", encoding="utf-8") as fh:
-                fh.write(serialize_newick(result.tree, labels=g.labels) + "\n")
+        _emit_tree(ns, result.tree, g)
+        _print(ns, "perfect")
         return 0
     failing = ",".join(_newick_name(g.labels[v])
                        for v in sorted(result.failed_on))
     if ns.records:
-        print("verdict\tnot-perfect")
-        print(f"failing\t{failing}")
+        _print(ns, "not-perfect", [("failing", failing)])
     else:
         print(f"not-perfect {failing}")
     return 1
@@ -118,40 +121,21 @@ def cmd_approx(ns) -> int:
     g = _load_graph(ns.graph, ns.epsilon)
     t = approx_tree(g, ns.delta)
     if t is None:
-        if ns.records:
-            print("verdict\tfailed")
-        else:
-            print("failed")
+        _print(ns, "failed")
         return 1
     r = ratio_cost(g, t)
-    if ns.records:
-        print("verdict\tok")
-        print(f"ratio\t{_fmt(r)}")
-        print(f"ratio-decimal\t{_ratio_decimal(r)}")
-        print(f"bound\t{_fmt(bound)}")
-        print(f"bound-decimal\t{float(bound)!r}")
-    else:
-        print(f"ratio {_fmt_ratio(r)}")
-        print(f"bound {_fmt_ratio(bound)}")
-    if ns.emit_tree:
-        with open(ns.emit_tree, "w", encoding="utf-8") as fh:
-            fh.write(serialize_newick(t, labels=g.labels) + "\n")
+    _emit_tree(ns, t, g)
+    # the positive verdict is a record only: plain output starts at ratio
+    _print(ns, "ok" if ns.records else None, [("ratio", r), ("bound", bound)])
     return 0
 
 
 def cmd_brute(ns) -> int:
     g = _load_graph(ns.graph, ns.epsilon)
     opt = optimal_ratio_bruteforce(g)
-    newick = serialize_newick(opt.tree, labels=g.labels)
-    if ns.records:
-        print(f"rho\t{_fmt(opt.rho)}")
-        print(f"rho-decimal\t{_ratio_decimal(opt.rho)}")
-        print(f"tree\t{newick}")
-        print(f"trees-searched\t{opt.trees_searched}")
-    else:
-        print(f"rho {_fmt_ratio(opt.rho)}")
-        print(f"tree {newick}")
-        print(f"trees-searched {opt.trees_searched}")
+    _print(ns, None, [("rho", opt.rho),
+                      ("tree", serialize_newick(opt.tree, labels=g.labels)),
+                      ("trees-searched", opt.trees_searched)])
     return 0
 
 

@@ -197,8 +197,6 @@ def test_too_large_rejected():
         optimal_ratio_bruteforce(g)
     with pytest.raises(TooLarge):
         list(enumerate_trees(11))
-    with pytest.raises(TooLarge):
-        optimal_ratio_bruteforce(path_graph(5), cap=4)
 
 
 def test_exact_fraction_for_integers_float_otherwise():

@@ -1,12 +1,19 @@
 import argparse
+import io
 import os
+import re
 import shutil
 import subprocess
+import sys
+import tempfile
 import venv
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hcratio import cli
 from hcratio.cli import build_parser, main
@@ -239,6 +246,103 @@ def test_float_zero_base_prints_float_ratio(capsys, tmp_path):
     for (command, *rest), want in runs.items():
         code, out, _ = run(capsys, command, str(g), *rest)
         assert (code, out) == (0, want)
+
+
+@pytest.mark.parametrize("records", [[], ["--records"]])
+@pytest.mark.parametrize("command", [["detect"], ["approx", "--delta", "1.5"]])
+def test_failed_emit_tree_prints_no_verdict(capsys, p4, tmp_path, command,
+                                            records):
+    # the tree is written before the verdict, so exit 2 comes with no verdict
+    missing = tmp_path / "missing" / "t.nwk"
+    code, out, err = run(capsys, command[0], p4, *command[1:], *records,
+                         "--emit-tree", str(missing))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# -- plain and --records print the same fields --------------------------------
+
+def _call(*argv):
+    """(exit code, stdout) of one in-process CLI call; stderr is dropped."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+def _records_of(plain):
+    """The ``--records`` lines that the plain output ``plain`` stands for."""
+    lines = []
+    for line in plain.splitlines():
+        key, _, value = line.partition(" ")
+        if not value:  # a bare verdict
+            lines.append(f"verdict\t{key}")
+        elif key == "not-perfect":
+            lines += [f"verdict\t{key}", f"failing\t{value}"]
+        elif key in ("ratio", "bound", "rho"):
+            exact, decimal = re.fullmatch(r"(\S+)(?: \((\S+)\))?",
+                                          value).groups()
+            lines += [f"{key}\t{exact}", f"{key}-decimal\t{decimal or exact}"]
+        else:
+            lines.append(f"{key}\t{value}")
+    return lines
+
+
+@st.composite
+def graphs_and_trees(draw):
+    """(weight rows, nested binary tree): integer, float (x0.1), all-zero
+    or claw graphs on 2..6 vertices, with a random tree on the same leaves."""
+    n = draw(st.integers(2, 6))
+    kind = draw(st.sampled_from(["int", "float", "zero", "claw"]))
+    W = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if kind in ("int", "float"):
+                w = draw(st.sampled_from([0, 0, 1, 2, 3]))
+            elif kind == "claw":  # a star: centre 0 with tied legs
+                w = 2 if i == 0 else 0
+            else:
+                w = 0
+            W[i][j] = W[j][i] = w * 0.1 if kind == "float" else w
+    items = list(draw(st.permutations(range(n))))
+    while len(items) > 1:
+        a = items.pop(draw(st.integers(0, len(items) - 1)))
+        b = items.pop(draw(st.integers(0, len(items) - 1)))
+        items.append((a, b))
+    return W, items[0]
+
+
+@given(graphs_and_trees(), st.sampled_from(["1", "1.5", "3"]))
+@example(([[0, 1, 0], [1, 0, 0], [0, 0, 0]], ((0, 2), 1)), "1.5")  # inf
+@example(([[0] * 3] * 3, ((0, 1), 2)), "1")  # 0/0
+@example(([[int(abs(i - j) == 1) for j in range(5)] for i in range(5)],
+          (((0, 1), 2), (3, 4))), "1.5")  # approx fails on the 5-path
+@settings(max_examples=60, deadline=None)
+def test_plain_and_records_carry_the_same_fields(case, delta):
+    W, nested = case
+    with tempfile.TemporaryDirectory() as tmp:
+        graph = os.path.join(tmp, "g.txt")
+        with open(graph, "w") as fh:
+            fh.write(f"{len(W)}\n" + "".join(
+                " ".join(map(str, row)) + "\n" for row in W))
+        code, brute = _call("brute", graph)
+        assert code == 0
+        trees = []
+        for text in (brute.splitlines()[1].split(" ", 1)[1],
+                     repr(nested).replace(" ", "") + ";"):
+            trees.append(os.path.join(tmp, f"t{len(trees)}.nwk"))
+            with open(trees[-1], "w") as fh:
+                fh.write(text + "\n")
+        for argv in (["cost", graph, trees[0]], ["cost", graph, trees[1]],
+                     ["detect", graph], ["approx", graph, "--delta", delta],
+                     ["brute", graph]):
+            plain_code, plain = _call(*argv)
+            code, records = _call(*argv, "--records")
+            assert code == plain_code
+            want = _records_of(plain)
+            if argv[0] == "approx" and code == 0:
+                want.insert(0, "verdict\tok")  # a record only
+            assert records.splitlines() == want
 
 
 @pytest.mark.parametrize("char", list("(),;:'"))
@@ -545,3 +649,35 @@ def test_installed_script_runs(installed_bin, p4):
                           timeout=SUBPROCESS_TIMEOUT)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "perfect\n"
+
+
+def _readme_examples():
+    """(command, printed lines) for each ``$ `` line of the README's CLI
+    Examples block."""
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"\nExamples:\n\n```sh\n(.*?)```", text, re.S).group(1)
+    steps = []
+    for line in block.splitlines():
+        if line.startswith("$ "):
+            steps.append((line[2:], []))
+        else:
+            steps[-1][1].append(line)
+    return steps
+
+
+def test_readme_examples_print_what_they_show(tmp_path):
+    steps = _readme_examples()
+    assert sum(cmd.startswith("hcratio ") for cmd, _ in steps) >= 3
+    # `hcratio` runs this checkout's CLI with the interpreter running the tests
+    prelude = 'hcratio() { "$PYTHON" -m hcratio.cli "$@"; }\n'
+    env = _env_without_pythonpath(PYTHON=sys.executable,
+                                  PYTHONPATH=str(REPO / "src"))
+    # stdout block-buffered, as by default: `random ... | head -4` then
+    # writes its table in one piece before head closes the pipe
+    env.pop("PYTHONUNBUFFERED", None)
+    for cmd, shown in steps:
+        proc = subprocess.run(["sh", "-c", prelude + cmd], cwd=tmp_path,
+                              env=env, capture_output=True, text=True,
+                              timeout=SUBPROCESS_TIMEOUT)
+        assert (proc.returncode, proc.stderr) == (0, ""), cmd
+        assert proc.stdout.splitlines() == shown, cmd
