@@ -8,7 +8,7 @@ random-graph experiments.  Stage internals stay in `hcratio.detect` and
 """
 
 from .approx import approx_tree
-from .brute import Optimum, enumerate_trees, optimal_ratio_bruteforce
+from .brute import Optimum, optimal_ratio_bruteforce
 from .cost import (
     CostReport,
     cost_report,
@@ -27,7 +27,6 @@ from .errors import (
     InvalidTriplet,
     InvalidWeight,
     LeafMismatch,
-    NotZeroBase,
     ParseError,
     SelfLoop,
     TooLarge,
@@ -45,7 +44,6 @@ from .randgraph import (
     ErModel,
     ExperimentReport,
     PlantedModel,
-    ProbabilityMatrix,
     expectation_tree_total_cost,
     expected_base_cost,
     gen_er,
@@ -69,11 +67,11 @@ __all__ = [
     "CostReport", "cost_report", "dasgupta_cost", "find_inconsistent_triplet",
     "is_consistent", "ratio_cost", "total_cost",
     "DetectionResult", "build_bisection", "approx_tree",
-    "Optimum", "enumerate_trees", "optimal_ratio_bruteforce",
-    "ProbabilityMatrix", "ErModel", "PlantedModel", "ExperimentReport",
+    "Optimum", "optimal_ratio_bruteforce",
+    "ErModel", "PlantedModel", "ExperimentReport",
     "gen_er", "gen_planted", "expected_base_cost", "expectation_tree_total_cost",
     "predicted_rho", "run_experiment",
     "HcratioError", "ParseError", "DuplicateEdge", "InvalidWeight", "SelfLoop",
-    "InvalidTriplet", "LeafMismatch", "NotZeroBase",
+    "InvalidTriplet", "LeafMismatch",
     "InvalidDelta", "TooLarge", "InvalidParam",
 ]

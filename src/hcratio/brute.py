@@ -15,9 +15,8 @@ minimum, so total cost minus base cost never drops below the partial tree's
 own excess.  No tree that could be the first optimum is skipped, and
 ``trees_searched`` still reports (2n-3)!!, the trees the search covers.
 
-One depth-first walk, ``_walk``, yields the trees in search order for
-``enumerate_trees`` and carries each tree's total cost, in Python integers,
-for the search.
+One depth-first walk, ``_walk``, yields the trees in search order, each
+with its total cost in Python integers.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Union
+from typing import Iterator, Union
 
 from .cost import ratio_of
 from .errors import TooLarge
@@ -54,8 +53,7 @@ def _check_size(n: int) -> None:
                        f"trees; cap is {HARD_CAP}")
 
 
-def _walk(n: int, inside: Optional[list] = None,
-          limits: Optional[list] = None) -> Iterator[tuple]:
+def _walk(n: int, inside: list, limits: list) -> Iterator[tuple]:
     """Every binary tree on leaves 0..n-1 as ``(total, masks, parents)``.
 
     Search order is lexicographic in the insertion node of leaves 2, 3, ...
@@ -64,16 +62,14 @@ def _walk(n: int, inside: Optional[list] = None,
     adds m to every strict ancestor of c, in place; the walk restores the
     table on the way back, so a yielded table lasts until it resumes.
 
-    ``inside[S]`` is the weight inside vertex set S (all zero if omitted)
-    and ``total`` the tree's exact total cost.  Joining m next to c adds
-    (|S_c|-1) x w(m, S_c) and, at each strict ancestor a, (|S_a|-1) x w(m,
-    off-path child of a), where w(m, X) = inside[X | m] - inside[X]; every
-    pair whose LCA is above c, weighing inside(root) less inside(S_c) and
-    each off-path child's, costs one more.  A tree on m leaves whose total
-    exceeds ``limits[m]`` is dropped with all its completions.
+    ``inside[S]`` is the weight inside vertex set S and ``total`` the
+    tree's exact total cost.  Joining m next to c adds (|S_c|-1) x w(m,
+    S_c) and, at each strict ancestor a, (|S_a|-1) x w(m, off-path child
+    of a), where w(m, X) = inside[X | m] - inside[X]; every pair whose LCA
+    is above c, weighing inside(root) less inside(S_c) and each off-path
+    child's, costs one more.  A tree on m leaves whose total exceeds
+    ``limits[m]`` is dropped with all its completions.
     """
-    inside = inside or [0] * (1 << n)
-    limits = limits or [0] * (n + 1)
     gains = [[inside[x | 1 << m] - inside[x] for x in range(1 << m)]
              for m in range(n)]  # gains[m][X] = w(m, X)
     masks, parents = [0b11, 0b01, 0b10], [-1, 0, 0]
@@ -124,15 +120,6 @@ def _tree(masks: list, parents: list) -> HcTree:
             masks[c].bit_length() - 1
 
     return HcTree.from_nested(nested(parents.index(-1)))
-
-
-def enumerate_trees(n: int) -> Iterator[HcTree]:
-    """Yield every binary tree on leaves 0..n-1 exactly once, in search order."""
-    if n < 2:
-        raise ValueError("need at least 2 leaves")
-    _check_size(n)
-    for _, masks, parents in _walk(n):
-        yield _tree(masks, parents)
 
 
 def _exact_weights(g: SimilarityGraph) -> list:

@@ -1,16 +1,17 @@
 """Command-line front end.
 
 Subcommands: cost, detect, approx, brute, random.  Verdicts ride the exit
-code (0 positive, 1 negative, 2+ error) so shell pipelines can branch
-without scraping text.  Global flags --epsilon, --jobs, --records are
-accepted before or after the subcommand.  All output is deterministic:
-identical invocations produce byte-identical stdout.
+code (0 positive, 1 negative, 2 error; 141 closed stdout) so pipelines
+can branch without scraping text.  Global flags --epsilon, --jobs,
+--records are accepted before or after the subcommand.  All output is
+deterministic: identical invocations produce byte-identical stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from fractions import Fraction
 from math import isinf
@@ -252,6 +253,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except HcratioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        raise  # stdout's reader left; ``main_entry`` ends quietly
     except (OSError, MemoryError) as exc:
         # an n within the n^3 < 2^63 bound may still not fit in memory;
         # exit 1 would read as a negative verdict
@@ -260,7 +263,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main_entry() -> None:
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout closed early (`| head`): exit quietly as SIGPIPE would, with
+        # fd 1 on devnull so that the interpreter's last flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(141)
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -45,7 +45,6 @@ from typing import Optional, Union
 import numpy as np
 
 from . import graph
-from .errors import NotZeroBase
 from .graph import INT64_LIMIT, SimilarityGraph, _pair_maxima
 from .tree import HcTree, _split_top_down
 
@@ -425,17 +424,15 @@ def valid_bisect(g: SimilarityGraph) -> Optional[Bipartition]:
     return bp if bp is not None else case1_bipartition(g, p)
 
 
-def zero_base_cost_tree(g: SimilarityGraph) -> HcTree:
-    """Zero-total-cost tree for a graph whose positive edges form a matching.
+def zero_base_cost_tree(g: SimilarityGraph) -> Optional[HcTree]:
+    """Zero-total-cost tree if g's positive edges form a matching, else None.
 
     Matched pairs become sibling cherries; pairs and leftover singletons are
     strung along a caterpillar spine in ascending vertex order.
     """
     ii, jj = g.positive_pairs()
-    degree = np.bincount(np.concatenate([ii, jj]), minlength=g.n)
-    if (degree > 1).any():
-        bad = int(np.argmax(degree > 1))
-        raise NotZeroBase(f"vertex {bad} has {int(degree[bad])} positive edges")
+    if (np.bincount(np.concatenate([ii, jj]), minlength=g.n) > 1).any():
+        return None
 
     matched = set(ii.tolist()) | set(jj.tolist())
     units: list = [(int(u), int(v)) for u, v in zip(ii.tolist(), jj.tolist())]
@@ -545,7 +542,7 @@ def build_bisection(g: SimilarityGraph) -> DetectionResult:
     """Full top-down detection over the whole graph.
 
     Zero base cost (no vertex with two positive edges) short-circuits to
-    the matching construction.  At epsilon 0 an ultrametric graph then
+    ``zero_base_cost_tree``.  At epsilon 0 an ultrametric graph then
     gets its single-linkage tree in O(n^2) (``_ultrametric_tree``), the
     same tree the per-set path would build.  Otherwise each vertex set
     splits in two by ``valid_bisect`` on its induced subgraph, and the
@@ -554,11 +551,7 @@ def build_bisection(g: SimilarityGraph) -> DetectionResult:
     """
     if g.n == 0:
         raise ValueError("empty graph")
-    try:
-        return DetectionResult(tree=zero_base_cost_tree(g))
-    except NotZeroBase:
-        pass
-    tree = _ultrametric_tree(g)
+    tree = zero_base_cost_tree(g) or _ultrametric_tree(g)
     if tree is not None:
         return DetectionResult(tree=tree)
 

@@ -29,10 +29,6 @@ class LeafMismatch(HcratioError):
     """Tree leaves and graph vertices (or labels) do not line up."""
 
 
-class NotZeroBase(HcratioError):
-    """The matching-tree construction requires base cost zero."""
-
-
 class InvalidDelta(HcratioError):
     """Perturbation parameter must satisfy delta >= 1."""
 

@@ -21,31 +21,10 @@ from .cost import ratio_of
 from .errors import InvalidParam
 from .graph import INT64_LIMIT, SimilarityGraph, _unit_base_cost
 
-Value = Union[int, float]
 # A model's pair probabilities: p everywhere, except on rectangles
 # (row0, row1, col0, col1, q) above the diagonal (col0 >= row1) and their
 # mirror images, which take q.
 Layout = tuple[float, tuple[tuple[int, int, int, int, float], ...]]
-
-
-class ProbabilityMatrix:
-    """Symmetric pairwise edge probabilities with a zero diagonal."""
-
-    __slots__ = ("n", "p")
-
-    def __init__(self, p):
-        p = np.asarray(p, dtype=np.float64)
-        if p.ndim != 2 or p.shape[0] != p.shape[1]:
-            raise InvalidParam("probability matrix must be square")
-        if not (np.all(p >= 0.0) and np.all(p <= 1.0)):
-            raise InvalidParam("probabilities must lie in [0, 1]")
-        if not np.array_equal(p, p.T):
-            raise InvalidParam("probability matrix must be symmetric")
-        if np.any(np.diag(p) != 0.0):
-            raise InvalidParam("diagonal must be zero")
-        self.n = p.shape[0]
-        self.p = p
-        p.setflags(write=False)
 
 
 def _check_size(n: int) -> None:
@@ -76,9 +55,6 @@ class ErModel:
         _check_size(self.n)
         _check_prob("p", self.p)
 
-    def probability_matrix(self) -> ProbabilityMatrix:
-        return _probability_matrix(self)
-
     def _layout(self) -> Layout:
         return float(self.p), ()
 
@@ -101,26 +77,12 @@ class PlantedModel:
             warnings.warn(f"planted model expects p > q, got p={self.p}, q={self.q}",
                           stacklevel=3)
 
-    def probability_matrix(self) -> ProbabilityMatrix:
-        return _probability_matrix(self)
-
     def _layout(self) -> Layout:
         h = self.n // 2
         return float(self.p), ((0, h, h, self.n, float(self.q)),)
 
 
 Model = Union[ErModel, PlantedModel]
-
-
-def _probability_matrix(model: Model) -> ProbabilityMatrix:
-    """The dense matrix of the model's ``_layout``, zero on the diagonal."""
-    p, rectangles = model._layout()
-    P = np.full((model.n, model.n), p)
-    for a, b, c, d, q in rectangles:
-        P[a:b, c:d] = q
-        P[c:d, a:b] = q
-    np.fill_diagonal(P, 0.0)
-    return ProbabilityMatrix(P)
 
 
 # About this many pairs are drawn per row block of ``_samples`` (2 MB of draws).
@@ -200,43 +162,20 @@ def _triplet_base(a: Fraction, b: Fraction, c: Fraction) -> Fraction:
     return a * b + b * c + c * a - a * b * c
 
 
-def expected_base_cost(model: Union[ProbabilityMatrix, Model]) -> float:
+def expected_base_cost(model: Model) -> float:
     """Expected base cost: per triplet, E[sum of weights] - E[max weight].
 
-    For an ErModel or PlantedModel the value is exact: triplets fall into
-    at most two probability patterns, each counted in closed form in
-    Fraction arithmetic from the float parameters, and the sum is rounded
-    to float once.  An arbitrary ProbabilityMatrix uses the identity
-    wedges - triangles = sum_i (s_i^2 - sum_j p_ij^2) / 2 - tr(P^3) / 6,
-    with s the row sums, in float arithmetic; a sampled graph's exact base
-    cost is wedges - triangles too, counted on its 0/1 upper triangle
-    (``_unit_base_cost``).
+    Exact: triplets fall into at most two probability patterns, each
+    counted in closed form in Fraction arithmetic from the float
+    parameters, and the sum is rounded to float once.
     """
     if isinstance(model, ErModel):
         p = Fraction(model.p)
         return float(comb(model.n, 3) * _triplet_base(p, p, p))
-    if isinstance(model, PlantedModel):
-        h = model.n // 2
-        p, q = Fraction(model.p), Fraction(model.q)
-        return float(2 * comb(h, 3) * _triplet_base(p, p, p)
-                     + 2 * h * comb(h, 2) * _triplet_base(p, q, q))
-    wedges2, triangles6 = _wedges_triangles(model.p)
-    return float(wedges2) / 2.0 - float(triangles6) / 6.0
-
-
-def _wedges_triangles(a: np.ndarray):
-    """Twice the expected wedges and six times the expected triangles.
-
-    ``a`` holds edge probabilities: symmetric, zero diagonal.  Wedges are
-    sum_v sum_{u<w} a_vu a_vw, from the row sums s as
-    sum_v (s_v^2 - sum_u a_vu^2) / 2; triangles are tr(a^3) / 6, from one
-    matrix product.
-    """
-    s = a.sum(axis=1, dtype=np.float64)
-    wedges2 = (s * s - (a * a).sum(axis=1)).sum()
-    aa = a @ a
-    aa *= a
-    return wedges2, aa.sum(dtype=np.float64)
+    h = model.n // 2
+    p, q = Fraction(model.p), Fraction(model.q)
+    return float(2 * comb(h, 3) * _triplet_base(p, p, p)
+                 + 2 * h * comb(h, 2) * _triplet_base(p, q, q))
 
 
 def expectation_tree_total_cost(model: Model) -> float:

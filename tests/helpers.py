@@ -17,6 +17,7 @@ from hcratio import (
     DuplicateEdge,
     HcTree,
     ParseError,
+    PlantedModel,
     SelfLoop,
     SimilarityGraph,
     base_cost,
@@ -443,19 +444,32 @@ def oracle_triplet_rows(W):
         yield i, j, k, a + b + c - np.maximum(np.maximum(a, b), c)
 
 
+def oracle_probabilities(model):
+    """The model's pair probabilities as a dense array, from its definition:
+    p for every pair, except q between [0, n/2) and [n/2, n) in the planted
+    model; zero on the diagonal."""
+    n = model.n
+    P = np.full((n, n), float(model.p))
+    if isinstance(model, PlantedModel):
+        h = n // 2
+        P[:h, h:] = P[h:, :h] = model.q
+    np.fill_diagonal(P, 0.0)
+    return P
+
+
 def oracle_sample(P, seed):
-    """Unit-weight sample of a ProbabilityMatrix, all draws in one call.
+    """Unit-weight sample of the pair probabilities P, all draws in one call.
 
     One uniform draw per pair i < j in ascending (i, j), compared with
     P[i, j] on a whole-matrix int64 layout: the sampler's pinned draw order
     taken by the plainest route.
     """
-    n = P.n
+    n = len(P)
     rng = np.random.default_rng(seed)
     iu = np.triu_indices(n, 1)
     draws = rng.random(len(iu[0]))
     w = np.zeros((n, n), dtype=np.int64)
-    w[iu] = draws < P.p[iu]
+    w[iu] = draws < P[iu]
     return SimilarityGraph(w + w.T)
 
 

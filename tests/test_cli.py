@@ -670,14 +670,33 @@ def test_readme_examples_print_what_they_show(tmp_path):
     assert sum(cmd.startswith("hcratio ") for cmd, _ in steps) >= 3
     # `hcratio` runs this checkout's CLI with the interpreter running the tests
     prelude = 'hcratio() { "$PYTHON" -m hcratio.cli "$@"; }\n'
-    env = _env_without_pythonpath(PYTHON=sys.executable,
+    # stdout unbuffered: `random ... | head -4` writes line by line and meets
+    # the pipe head has closed, which must still leave stderr empty
+    env = _env_without_pythonpath(PYTHON=sys.executable, PYTHONUNBUFFERED="1",
                                   PYTHONPATH=str(REPO / "src"))
-    # stdout block-buffered, as by default: `random ... | head -4` then
-    # writes its table in one piece before head closes the pipe
-    env.pop("PYTHONUNBUFFERED", None)
     for cmd, shown in steps:
         proc = subprocess.run(["sh", "-c", prelude + cmd], cwd=tmp_path,
                               env=env, capture_output=True, text=True,
                               timeout=SUBPROCESS_TIMEOUT)
         assert (proc.returncode, proc.stderr) == (0, ""), cmd
         assert proc.stdout.splitlines() == shown, cmd
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_ends_quietly(unbuffered):
+    # the reader takes one line and leaves, as `| head -1` does, while the
+    # table (155 KB, more than a pipe holds) is still being written
+    env = _env_without_pythonpath(PYTHONPATH=str(REPO / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [sys.executable, "-m", "hcratio.cli", "random", "--er", "20", "0.5",
+            "--trials", "3000", "--seed", "1"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        status = proc.wait(timeout=SUBPROCESS_TIMEOUT)
+    assert first == b"model er n=20 p=0.5\n"
+    assert (status, err) == (141, b"")

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hcratio import (
-    NotZeroBase,
     SimilarityGraph,
     base_cost,
     build_bisection,
@@ -619,8 +618,7 @@ def test_zero_base_tree_all_isolated():
 
 
 def test_zero_base_tree_rejects_wedge():
-    with pytest.raises(NotZeroBase):
-        zero_base_cost_tree(path_graph(3))
+    assert zero_base_cost_tree(path_graph(3)) is None
 
 
 # -- full detection -----------------------------------------------------------

@@ -12,7 +12,6 @@ from hcratio import (
     ErModel,
     InvalidParam,
     PlantedModel,
-    ProbabilityMatrix,
     base_cost,
     expectation_tree_total_cost,
     expected_base_cost,
@@ -25,19 +24,7 @@ from hcratio import cli
 from hcratio import graph as graph_mod
 from hcratio import randgraph as randgraph_mod
 
-from helpers import oracle_sample
-
-
-def test_probability_matrix_validation():
-    ProbabilityMatrix([[0, 0.5], [0.5, 0]])
-    with pytest.raises(InvalidParam):
-        ProbabilityMatrix([[0, 0.5, 0.5], [0.5, 0, 0.5]])
-    with pytest.raises(InvalidParam):
-        ProbabilityMatrix([[0, 1.5], [1.5, 0]])
-    with pytest.raises(InvalidParam):
-        ProbabilityMatrix([[0, 0.4], [0.6, 0]])
-    with pytest.raises(InvalidParam):
-        ProbabilityMatrix([[0.2, 0.4], [0.4, 0]])
+from helpers import oracle_probabilities, oracle_sample
 
 
 def test_model_validation():
@@ -74,19 +61,6 @@ def test_generation_extremes():
     assert gp.weights.sum() == 4  # the two in-block edges only
 
 
-def test_probability_matrix_layout():
-    # the dense layouts the models are defined by
-    er = np.full((7, 7), 0.3)
-    np.fill_diagonal(er, 0.0)
-    planted = np.full((8, 8), 0.2)
-    planted[:4, :4] = planted[4:, 4:] = 0.7
-    np.fill_diagonal(planted, 0.0)
-    for model, want in ((ErModel(7, 0.3), er),
-                        (PlantedModel(8, 0.7, 0.2), planted)):
-        got = model.probability_matrix().p
-        assert got.dtype == np.float64 and np.array_equal(got, want)
-
-
 def _sampler_models(n):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # p <= q is allowed, with a warning
@@ -111,7 +85,7 @@ def test_sampled_bits_and_unit_kernel_match_oracle(n, block, monkeypatch):
     for model in _sampler_models(n):
         for seed, U in zip(seeds, randgraph_mod._samples(model, seeds),
                            strict=True):
-            want = oracle_sample(model.probability_matrix(), seed)
+            want = oracle_sample(oracle_probabilities(model), seed)
             assert U.dtype == np.float32
             # the oracle graph is symmetric with a zero diagonal, so its
             # strict upper triangle determines it
@@ -124,11 +98,11 @@ def test_sampled_bits_and_unit_kernel_match_oracle(n, block, monkeypatch):
 def test_generators_return_the_oracle_graph():
     for n, p, seed in ((65, 0.3, 1), (400, 0.5, 9)):
         g = gen_er(n, p, seed)
-        want = oracle_sample(ErModel(n, p).probability_matrix(), seed)
+        want = oracle_sample(oracle_probabilities(ErModel(n, p)), seed)
         assert g.weights.dtype == np.int64
         assert np.array_equal(g.weights, want.weights)
     g = gen_planted(64, 0.8, 0.1, 5)
-    want = oracle_sample(PlantedModel(64, 0.8, 0.1).probability_matrix(), 5)
+    want = oracle_sample(oracle_probabilities(PlantedModel(64, 0.8, 0.1)), 5)
     assert np.array_equal(g.weights, want.weights)
 
 
@@ -140,12 +114,11 @@ def test_generation_deterministic_by_seed():
     assert not np.array_equal(a.weights, c.weights)
 
 
-def oracle_expected_base(P, num=float):
+def oracle_expected_base(p, num=float):
     # E[two smallest of three indicators] = E[sum] - E[max],
     # and the max is 1 unless all three pairs stay absent
-    p = P.p
     out = num(0)
-    for i, j, k in combinations(range(P.n), 3):
+    for i, j, k in combinations(range(len(p)), 3):
         a, b, c = num(p[i, j]), num(p[i, k]), num(p[j, k])
         out += a + b + c - (1 - (1 - a) * (1 - b) * (1 - c))
     return out
@@ -160,50 +133,16 @@ MODELS = [
 
 @pytest.mark.parametrize("model", MODELS)
 def test_expected_base_closed_form_is_exact_value_rounded_once(model):
-    P = model.probability_matrix()
+    P = oracle_probabilities(model)
     got = expected_base_cost(model)
     assert got == float(oracle_expected_base(P, Fraction))
     assert got == pytest.approx(oracle_expected_base(P), rel=1e-12)
 
 
-@pytest.mark.parametrize("model", MODELS)
-def test_expected_base_matches_oracle(model):
-    P = model.probability_matrix()
-    assert expected_base_cost(P) == pytest.approx(oracle_expected_base(P),
-                                                  rel=1e-12)
-
-
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 16])
-def test_expected_base_of_arbitrary_matrix_matches_oracle(n):
-    rng = np.random.default_rng(n)
-    p = np.triu(rng.random((n, n)), 1)
-    P = ProbabilityMatrix(p + p.T)
-    assert expected_base_cost(P) == pytest.approx(oracle_expected_base(P),
-                                                  rel=1e-12, abs=1e-12)
-
-
-def test_expected_base_of_arbitrary_matrix_is_bit_identical():
-    # the expression expected_base_cost used before it shared its identity
-    # with the integer level kernel; the float result must not move a bit
-    def before(p):
-        s = p.sum(axis=1)
-        wedges = float((s * s - (p * p).sum(axis=1)).sum()) / 2.0
-        triangles = float(((p @ p) * p).sum()) / 6.0
-        return wedges - triangles
-
-    rng = np.random.default_rng(11)
-    for n in range(1, 61):
-        p = np.triu(rng.random((n, n)), 1)
-        if n % 3 == 0:
-            p *= rng.random((n, n)) < 0.5
-        P = ProbabilityMatrix(p + p.T)
-        assert expected_base_cost(P) == before(P.p)
-
-
 def test_expected_base_er_closed_form():
     for n, p in [(6, 0.5), (30, 0.2), (11, 1.0)]:
         want = math.comb(n, 3) * (2 * p**3 + 3 * p**2 * (1 - p))
-        got = expected_base_cost(ErModel(n, p).probability_matrix())
+        got = expected_base_cost(ErModel(n, p))
         assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -236,11 +175,9 @@ def test_predicted_rho_is_large_n_limit():
     # its large-n limit
     m = ErModel(9, 0.37)
     assert predicted_rho(m) == pytest.approx(
-        expectation_tree_total_cost(m)
-        / expected_base_cost(m.probability_matrix()), rel=1e-12)
+        expectation_tree_total_cost(m) / expected_base_cost(m), rel=1e-12)
     big = PlantedModel(400, 0.6, 0.2)
-    finite = expectation_tree_total_cost(big) \
-        / expected_base_cost(big.probability_matrix())
+    finite = expectation_tree_total_cost(big) / expected_base_cost(big)
     assert predicted_rho(big) == pytest.approx(finite, rel=2e-2)
 
 
@@ -280,13 +217,12 @@ def test_experiment_seeds_and_bases_match_generation():
         assert b == base_cost(gen_er(30, 0.4, seed))
 
 
-def test_experiment_builds_no_graph_and_no_probability_matrix(monkeypatch):
+def test_experiment_builds_no_graph(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("a trial built a dense object it does not need")
+        raise AssertionError("a trial built a graph it does not need")
 
     want = run_experiment(PlantedModel(80, 0.6, 0.2), trials=3, seed_base=5)
     monkeypatch.setattr(randgraph_mod, "SimilarityGraph", refuse)
-    monkeypatch.setattr(randgraph_mod, "ProbabilityMatrix", refuse)
     got = run_experiment(PlantedModel(80, 0.6, 0.2), trials=3, seed_base=5)
     assert got == want
 
