@@ -9,13 +9,13 @@ deterministic: identical invocations produce byte-identical stdout.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import os
+import re
 import sys
 from fractions import Fraction
 from math import isinf
-from typing import Optional, Sequence
+from types import SimpleNamespace
+from typing import NoReturn, Optional, Sequence
 
 from .approx import _delta_squared, approx_tree
 from .brute import optimal_ratio_bruteforce
@@ -179,77 +179,166 @@ def cmd_random(ns) -> int:
     return 0
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built on the first call and shared after it.
+# The command table: each command's help line, positionals and options.  An
+# option is (flag, value names, type, required, help); a switch has no value
+# names, and exactly one of a command's options whose required is "one" must
+# be given.  The global options are accepted on either side of the command,
+# and a repeated flag's last value wins.  ``main`` runs ``cmd_<command>``,
+# looked up when it is called.
+_GLOBAL = (
+    ("--epsilon", "EPSILON", float, False,
+     "weight-equality tolerance (default 0: exact)"),
+    ("--jobs", "JOBS", int, False, "must be >= 1; output never depends on it"),
+    ("--records", "", bool, False, "machine-readable tab-separated output"),
+)
+_EMIT = ("--emit-tree", "PATH", str, False, "write the tree as Newick on success")
+COMMANDS = {
+    "cost": ("evaluate all costs of a graph/tree pair", ("graph", "tree"), ()),
+    "detect": ("decide whether some tree reaches ratio 1", ("graph",), (_EMIT,)),
+    "approx": ("constraint-built tree within (1+delta^2) of optimal", ("graph",),
+               (("--delta", "DELTA", str, True,
+                 "distortion bound, >= 1 (decimal, e.g. 1.5)"), _EMIT)),
+    "brute": ("exact optimum by subset DP and pruned tree search (small n)",
+              ("graph",), ()),
+    "random": ("sample random graphs and compare to predictions", (), (
+        ("--er", "N P", str, "one", "N vertices, each pair with probability P"),
+        ("--planted", "N P Q", str, "one",
+         "two halves of N/2: probability P inside a half, Q across"),
+        ("--trials", "TRIALS", int, True, "number of sampled graphs"),
+        ("--seed", "SEED", int, True, "trial t samples with seed SEED + t"))),
+}
+_HELP = ("-h", "", None, False, "show this help message and exit")
+_OPTIONS = {c: (_HELP, *_GLOBAL, *(COMMANDS[c][2] if c else ()))
+            for c in (None, *COMMANDS)}
+_FLAGS = {c: {"--help": _HELP, **{o[0]: o for o in opts}}
+          for c, opts in _OPTIONS.items()}
+_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")  # a value, as in argparse
 
-    Parsing leaves the parser unchanged: each ``parse_args`` fills a fresh
-    namespace, and the global flags default to SUPPRESS so ``main`` sets
-    them itself.  Building it costs about a millisecond, which a process
-    calling ``main`` many times would otherwise pay per call.
+
+def _usage(command: Optional[str]) -> str:
+    words = ["usage: hcratio", command] if command else ["usage: hcratio"]
+    group = []
+    for flag, names, _, required, _ in _OPTIONS[command]:
+        text = f"{flag} {names}".rstrip()
+        (group if required == "one" else words).append(
+            text if required else f"[{text}]")
+    words += [f"({' | '.join(group)})"] * bool(group)
+    return " ".join(words + list(COMMANDS[command][1] if command else
+                                 ["{" + ",".join(COMMANDS) + "} ..."]))
+
+
+def _help(command: Optional[str]) -> str:
+    """Usage, a summary, the commands (at the top) and the options."""
+    about = COMMANDS[command][0] if command else (
+        "Ratio-cost analysis of similarity graphs under hierarchical "
+        "clustering trees.\n\ncommands:\n" + "\n".join(
+            f"  {name:<18} {spec[0]}" for name, spec in COMMANDS.items()))
+    return "\n".join([_usage(command), "", about, "", "options:"] + [
+        f"  {'-h, --help' if o is _HELP else f'{o[0]} {o[1]}':<18} {o[4]}"
+        for o in _OPTIONS[command]])
+
+
+def _fail(command: Optional[str], message: str) -> NoReturn:
+    name = f"hcratio {command}" if command else "hcratio"
+    sys.stderr.write(f"{_usage(command)}\n{name}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _flag(arg: str, command: Optional[str]):
+    """``(flag, explicit value or None)`` when ``arg`` reads as an option of
+    ``command``, else None.  An option outside the table comes back whole;
+    ``-``, a negative number and a dashed word with a space are values."""
+    if arg[:1] != "-" or arg == "-":
+        return None
+    flags = _FLAGS[command]
+    if arg in flags:
+        return arg, None
+    name, eq, value = arg.partition("=")
+    if eq and name in flags:
+        return name, value
+    if arg[1] == "-":  # a unique prefix of a long flag
+        hits = [flag for flag in flags if flag.startswith(name)]
+        if len(hits) > 1:
+            _fail(command, f"ambiguous option {name}: " + ", ".join(hits))
+        if hits:
+            return hits[0], value if eq else None
+    elif arg.startswith("-h"):  # -h with a value attached: a usage error
+        return "-h", arg[2:]
+    return None if _NUMBER.match(arg) or " " in arg else (arg, None)
+
+
+def _parse(argv: Sequence[str]) -> SimpleNamespace:
+    """One command line, parsed by the command table into a fresh namespace.
+
+    The first ``--`` makes every later argument a positional; it must follow
+    a positional of the command or precede a missing one.  ``-h`` prints
+    help and exits 0; a usage error writes the usage line and an ``error:``
+    line to stderr and exits 2.
     """
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--epsilon", type=float, default=argparse.SUPPRESS,
-                        help="weight-equality tolerance (default 0: exact)")
-    shared.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
-                        help="must be >= 1; no stage starts worker threads, "
-                             "so output is the same for any value (default 1)")
-    shared.add_argument("--records", action="store_true",
-                        default=argparse.SUPPRESS,
-                        help="machine-readable tab-separated output")
-
-    ap = argparse.ArgumentParser(
-        prog="hcratio", parents=[shared],
-        description="Ratio-cost analysis of similarity graphs under "
-                    "hierarchical clustering trees.")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    c = sub.add_parser("cost", parents=[shared],
-                       help="evaluate all costs of a graph/tree pair")
-    c.add_argument("graph")
-    c.add_argument("tree")
-    c.set_defaults(fn=cmd_cost)
-
-    d = sub.add_parser("detect", parents=[shared],
-                       help="decide whether some tree reaches ratio 1")
-    d.add_argument("graph")
-    d.add_argument("--emit-tree", metavar="PATH",
-                   help="write the ratio-1 tree as Newick on success")
-    d.set_defaults(fn=cmd_detect)
-
-    a = sub.add_parser("approx", parents=[shared],
-                       help="constraint-built tree within (1+delta^2) of optimal")
-    a.add_argument("graph")
-    a.add_argument("--delta", required=True,
-                   help="distortion bound, >= 1 (decimal, e.g. 1.5)")
-    a.add_argument("--emit-tree", metavar="PATH")
-    a.set_defaults(fn=cmd_approx)
-
-    b = sub.add_parser("brute", parents=[shared],
-                       help="exact optimum by subset DP and pruned tree search (small n)")
-    b.add_argument("graph")
-    b.set_defaults(fn=cmd_brute)
-
-    r = sub.add_parser("random", parents=[shared],
-                       help="sample random graphs and compare to predictions")
-    grp = r.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--er", nargs=2, metavar=("N", "P"))
-    grp.add_argument("--planted", nargs=3, metavar=("N", "P", "Q"))
-    r.add_argument("--trials", type=int, required=True)
-    r.add_argument("--seed", type=int, required=True)
-    r.set_defaults(fn=cmd_random)
-    return ap
+    ns = SimpleNamespace(command=None, epsilon=0.0, jobs=1, records=False)
+    args, todo, one, rest, after = list(argv), [], None, False, False
+    while args:
+        arg, command = args.pop(0), ns.command
+        if arg == "--" and not rest:
+            rest = True
+            if command and (todo or after):
+                continue
+        hit = None if rest else _flag(arg, command)
+        if hit is None:  # a positional
+            if command is None and arg in COMMANDS:
+                ns.command, todo = arg, list(COMMANDS[arg][1])
+                ns.__dict__.update((_dest(o[0]), None) for o in COMMANDS[arg][2])
+            elif not todo:
+                _fail(command, f"unexpected argument {arg!r}" if command else
+                      f"no command {arg!r}: choose " + ", ".join(COMMANDS))
+            else:
+                setattr(ns, todo.pop(0), arg)
+            after = command is not None
+            continue
+        flag, explicit = hit
+        spec = _FLAGS[command].get(flag) or _fail(command, f"no option {arg}")
+        if spec is _HELP and explicit is None:
+            print(_help(command))
+            raise SystemExit(0)
+        _, names, kind, required, _ = spec
+        count, values = len(names.split()), [explicit]
+        if explicit is None:
+            values, args = args[:count], args[count:]
+            if any(v == "--" or _flag(v, command) for v in values):
+                values = []
+        if len(values) != count:
+            _fail(command, f"{flag} takes {count or 'no'} value(s)")
+        if required == "one":
+            if one not in (None, flag):
+                _fail(command, f"{flag} is not allowed with {one}")
+            one = flag
+        try:  # a switch is True, and --er and --planted keep their strings
+            value = kind(values[0]) if count == 1 else values or True
+        except ValueError:
+            _fail(command, f"{flag} takes {kind.__name__} values, got "
+                           f"{values[0]!r}")
+        setattr(ns, _dest(flag), value)
+        after = False
+    opts = COMMANDS[ns.command or _fail(None, "a command is required")][2]
+    missing = todo + [o[0] for o in opts
+                      if o[3] is True and getattr(ns, _dest(o[0])) is None]
+    if one is None and any(o[3] == "one" for o in opts):
+        missing.append(" or ".join(o[0] for o in opts if o[3] == "one"))
+    if missing:
+        _fail(ns.command, "missing " + ", ".join(missing))
+    return ns
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    ns = build_parser().parse_args(argv)
-    ns.epsilon = getattr(ns, "epsilon", 0.0)
-    ns.jobs = getattr(ns, "jobs", 1)
-    ns.records = getattr(ns, "records", False)
+    ns = _parse(sys.argv[1:] if argv is None else argv)
     try:
         if ns.jobs < 1:
             raise InvalidParam(f"need --jobs >= 1, got {ns.jobs}")
-        return ns.fn(ns)
+        return globals()[f"cmd_{ns.command}"](ns)
     except HcratioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

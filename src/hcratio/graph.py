@@ -552,6 +552,8 @@ def _name_keys(raw: bytes, at: np.ndarray, size: np.ndarray) -> np.ndarray:
 def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ids of ``keys`` numbered by first appearance, and each id's first
     index."""
+    if keys.max() < 2**32:  # names of at most 4 bytes sort faster as uint32
+        keys = keys.astype(np.uint32)
     keys, ids = np.unique(keys, return_inverse=True)
     n = len(keys)
     first = np.full(n, len(ids))

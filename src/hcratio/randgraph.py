@@ -99,10 +99,11 @@ def _samples(model: Model, seeds: Iterable[int]) -> Iterator[np.ndarray]:
 
     Every sample is written into the same U, and every block into the same
     buffers, allocated before the first seed: a block's packed draws are
-    compared with p into ``bits`` and scattered into the block's upper
-    entries, so each sample rewrites every entry above the diagonal.  Rows
-    that cross a rectangle of the model's layout then scatter their draws
-    into ``scratch`` and compare that rectangle again, with its own q.  The
+    compared with their pairs' probabilities into ``bits`` and scattered
+    into the block's upper entries, so each sample rewrites every entry
+    above the diagonal.  Without rectangles every pair's probability is p;
+    with them, the block's probabilities are gathered in draw order through
+    its mask whenever the mask is built, so each draw is compared once.  The
     same U is yielded each time: read it before asking for the next one.
     """
     n = model.n
@@ -113,7 +114,8 @@ def _samples(model: Model, seeds: Iterable[int]) -> Iterator[np.ndarray]:
     mask = np.empty((step, n), dtype=bool)
     draws = np.empty(step * n)
     bits = np.empty(step * n, dtype=bool)
-    scratch = np.empty((step, n)) if rectangles else None
+    levels = np.array([p, *(q for *_, q in rectangles)])  # p, then each q
+    thresholds = p
     masked = None  # the block the mask holds; one block keeps it throughout
     for seed in seeds:
         rng = np.random.default_rng(seed)
@@ -123,16 +125,16 @@ def _samples(model: Model, seeds: Iterable[int]) -> Iterator[np.ndarray]:
             if masked != r0:
                 np.greater(cols, cols[r0:r1, None], out=upper)
                 masked = r0
+                if rectangles:
+                    which = np.zeros((r1 - r0, n), dtype=np.uint8)
+                    for level, (a, b, c0, c1, _) in enumerate(rectangles, 1):
+                        lo, hi = max(a, r0), min(b, r1)
+                        if lo < hi:
+                            which[lo - r0:hi - r0, c0:c1] = level
+                    thresholds = levels[which[upper]]
             k = (r1 - r0) * (2 * n - r0 - r1 - 1) // 2  # pairs in the rows
             d = rng.random(k, out=draws[:k])
-            U[r0:r1][upper] = np.less(d, p, out=bits[:k])
-            for a, b, c0, c1, q in rectangles:
-                lo, hi = max(a, r0), min(b, r1)
-                if lo < hi:
-                    block = scratch[:r1 - r0]
-                    block[upper] = d
-                    np.less(block[lo - r0:hi - r0, c0:c1], q,
-                            out=U[lo:hi, c0:c1])
+            U[r0:r1][upper] = np.less(d, thresholds, out=bits[:k])
         yield U
 
 

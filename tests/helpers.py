@@ -5,6 +5,8 @@ different route than the library's vectorized implementations, so the two
 can disagree when one is wrong.
 """
 
+import argparse
+import functools
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
@@ -808,3 +810,64 @@ def oracle_load_matrix(text, epsilon=0.0):
     floaty = any(isinstance(v, float) for row in rows for v in row)
     mat = np.array(rows, dtype=np.float64 if floaty else np.int64)
     return SimilarityGraph(mat, epsilon=epsilon)
+
+
+
+@functools.cache
+def oracle_parser() -> argparse.ArgumentParser:
+    """The argparse parser the CLI used before its command table, as it was
+    but for the ``fn`` default each command set: the reference that
+    ``cli._parse`` is compared against.
+
+    The global flags default to SUPPRESS, so a namespace holds only the
+    ones given; the CLI's ``main`` filled in 0.0, 1 and False.  Parsing
+    leaves the parser unchanged, so one serves every test.  The tests pin
+    the argparse of Python 3.11, whose reading of ``--`` later versions
+    changed.
+    """
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--epsilon", type=float, default=argparse.SUPPRESS,
+                        help="weight-equality tolerance (default 0: exact)")
+    shared.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
+                        help="must be >= 1; no stage starts worker threads, "
+                             "so output is the same for any value (default 1)")
+    shared.add_argument("--records", action="store_true",
+                        default=argparse.SUPPRESS,
+                        help="machine-readable tab-separated output")
+
+    ap = argparse.ArgumentParser(
+        prog="hcratio", parents=[shared],
+        description="Ratio-cost analysis of similarity graphs under "
+                    "hierarchical clustering trees.")
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    c = sub.add_parser("cost", parents=[shared],
+                       help="evaluate all costs of a graph/tree pair")
+    c.add_argument("graph")
+    c.add_argument("tree")
+
+    d = sub.add_parser("detect", parents=[shared],
+                       help="decide whether some tree reaches ratio 1")
+    d.add_argument("graph")
+    d.add_argument("--emit-tree", metavar="PATH",
+                   help="write the ratio-1 tree as Newick on success")
+
+    a = sub.add_parser("approx", parents=[shared],
+                       help="constraint-built tree within (1+delta^2) of optimal")
+    a.add_argument("graph")
+    a.add_argument("--delta", required=True,
+                   help="distortion bound, >= 1 (decimal, e.g. 1.5)")
+    a.add_argument("--emit-tree", metavar="PATH")
+
+    b = sub.add_parser("brute", parents=[shared],
+                       help="exact optimum by subset DP and pruned tree search (small n)")
+    b.add_argument("graph")
+
+    r = sub.add_parser("random", parents=[shared],
+                       help="sample random graphs and compare to predictions")
+    grp = r.add_mutually_exclusive_group(required=True)
+    grp.add_argument("--er", nargs=2, metavar=("N", "P"))
+    grp.add_argument("--planted", nargs=3, metavar=("N", "P", "Q"))
+    r.add_argument("--trials", type=int, required=True)
+    r.add_argument("--seed", type=int, required=True)
+    return ap

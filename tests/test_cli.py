@@ -1,4 +1,3 @@
-import argparse
 import io
 import os
 import re
@@ -12,11 +11,13 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hcratio import cli
-from hcratio.cli import build_parser, main
+from hcratio.cli import _parse, main
+
+from helpers import oracle_parser
 
 
 P4_EDGES = "0 1 1\n1 2 1\n2 3 1\n"
@@ -541,19 +542,158 @@ def test_no_command_is_usage_error():
         main([])
 
 
-# -- one parser per process ---------------------------------------------------
+# -- the command table --------------------------------------------------------
 
-def test_parser_is_built_on_the_first_call_only(capsys, p4):
-    build_parser.cache_clear()
-    init = argparse.ArgumentParser.__init__
-    with mock.patch.object(argparse.ArgumentParser, "__init__",
-                           autospec=True, side_effect=init) as built:
-        counts = []
-        for argv in (["detect", p4], ["brute", p4], ["--records", "detect", p4]):
-            run(capsys, *argv)
-            counts.append(built.call_count)
-    assert counts[0] > 0
-    assert counts == [counts[0]] * 3
+def test_cli_import_loads_neither_argparse_nor_gettext():
+    # a fresh interpreter: the parser is the module's own command table
+    code = ("import sys, hcratio.cli; "
+            "print(sorted({'argparse', 'gettext'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=_env_without_pythonpath(PYTHONPATH=str(REPO / "src")),
+                          capture_output=True, text=True,
+                          timeout=SUBPROCESS_TIMEOUT)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+GLOBAL_FLAGS = ["--help", "--epsilon", "--jobs", "--records"]
+HELP_NAMES = {  # what each help text must name, besides the global flags
+    None: ["cost", "detect", "approx", "brute", "random"],
+    "cost": ["graph", "tree"],
+    "detect": ["graph", "--emit-tree"],
+    "approx": ["graph", "--delta", "--emit-tree"],
+    "brute": ["graph"],
+    "random": ["--er", "--planted", "--trials", "--seed"],
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["--help"], ["--he"], ["--records", "-h"],
+    *([command, "-h"] for command in HELP_NAMES if command),
+    ["detect", "g.txt", "--help"], ["random", "--er", "4", "0.5", "-h"],
+])
+def test_help_names_every_argument_and_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, err) == (0, "")
+    command = next((a for a in argv if a in HELP_NAMES), None)
+    assert out.startswith(f"usage: hcratio {command or ''}".rstrip() + " ")
+    words = set(re.findall(r"[\w-]+", out))
+    assert set(GLOBAL_FLAGS + HELP_NAMES[command]) <= words
+    flags = {w for names in HELP_NAMES.values() for w in names if w[0] == "-"}
+    assert not (flags - set(HELP_NAMES[command])) & words  # no other's flags
+
+
+def _outcome(parse, argv):
+    """``("ok", namespace as a dict)`` or ``("exit", code)`` of one parse,
+    with the global flags' defaults filled in as ``main`` used to."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            ns = parse(list(argv))
+        except SystemExit as exc:
+            return "exit", exc.code
+    return "ok", {"epsilon": 0.0, "jobs": 1, "records": False, **vars(ns)}
+
+
+def _same_as_oracle(argv):
+    want = _outcome(oracle_parser().parse_args, argv)
+    got = _outcome(_parse, argv)
+    assert got == (want if want[0] == "ok" else ("exit", 2)), argv
+    return got
+
+
+WORDS = ["cost", "detect", "approx", "brute", "random",
+         "--epsilon", "--eps", "--jobs", "--j", "--records", "--rec",
+         "--emit-tree", "--emit", "--e", "--delta", "--del", "--er",
+         "--planted", "--pl", "--trials", "--tri", "--seed", "--s",
+         "--epsilon=0.5", "--jobs=2", "--records=1", "--emit=o.nwk",
+         "--delta=1.5", "--er=4", "--seed=-1", "--tri=2", "--x", "-x",
+         "--", "-", "-1", "1.5", "x", "4", "0.5", "g.txt", "t.nwk"]
+PIECES = {  # argument groups that a command accepts, in any order
+    "cost": [["g.txt"], ["t.nwk"]],
+    "detect": [["g.txt"], ["--emit-tree", "o.nwk"], ["--emit=-"]],
+    "approx": [["g.txt"], ["--delta", "1.5"], ["--del=-1"], ["--emit", "-1"]],
+    "brute": [["g.txt"]],
+    "random": [["--er", "4", "0.5"], ["--planted", "4", "0.5", "-1"],
+               ["--trials", "2"], ["--tri=x"], ["--seed", "-1"], ["--s=3"]],
+}
+GLOBAL_PIECES = [["--epsilon", "0.5"], ["--eps=-1"], ["--jobs", "2"],
+                 ["--j", "-1"], ["--records"], ["--rec"]]
+
+
+@st.composite
+def command_lines(draw):
+    """Argument lists: words at random (mostly usage errors), or a command
+    with global flags on either side and its own groups shuffled in, with
+    a stray word now and then."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.sampled_from(WORDS), max_size=9))
+    command = draw(st.sampled_from(sorted(PIECES)))
+    pick = st.sampled_from(PIECES[command] + GLOBAL_PIECES
+                           + [[w] for w in ("--", "-", "-1", "x")])
+    before = draw(st.lists(st.sampled_from(GLOBAL_PIECES), max_size=2))
+    after = draw(st.lists(pick, max_size=6))
+    return [w for group in before + [[command]] + after for w in group]
+
+
+@given(command_lines())
+@settings(max_examples=400, deadline=None)
+def test_parse_matches_the_argparse_oracle(argv):
+    # argparse hands a second ``--`` to a positional as an empty list
+    # (``cost g -- --`` gives tree []); the table reads it as a plain value
+    assume(argv.count("--") <= 1)
+    _same_as_oracle(argv)
+
+
+def test_a_second_double_dash_is_a_plain_value():
+    assert _parse(["cost", "g", "--", "--"]).tree == "--"
+    assert oracle_parser().parse_args(["cost", "g", "--", "--"]).tree == []
+
+
+@pytest.mark.parametrize("argv, fields", [
+    (["detect", "g", "--emit-tree=o.nwk", "--epsilon=0.5"],
+     {"emit_tree": "o.nwk", "epsilon": 0.5}),
+    (["detect", "g", "--emit-tree="], {"emit_tree": ""}),
+    (["--rec", "detect", "g", "--emit", "o.nwk", "--ep", "0.5"],
+     {"records": True, "emit_tree": "o.nwk", "epsilon": 0.5}),
+    (["--jobs", "2", "brute", "g", "--jobs", "3", "--jobs=4"], {"jobs": 4}),
+    (["random", "--er", "4", "0.5", "--er", "6", "0.1", "--trials", "1",
+      "--seed", "1", "--seed", "2"], {"er": ["6", "0.1"], "seed": 2}),
+    (["cost", "--", "-g", "--records"], {"graph": "-g", "tree": "--records"}),
+    (["cost", "g", "--", "-t"], {"graph": "g", "tree": "-t"}),
+    (["cost", "g", "t", "--"], {"graph": "g", "tree": "t"}),
+    (["detect", "-", "--emit-tree", "-"], {"graph": "-", "emit_tree": "-"}),
+    (["random", "--planted", "4", "-1", "-.5", "--trials", "1",
+      "--seed", "-1"], {"planted": ["4", "-1", "-.5"], "seed": -1}),
+    (["--jobs", "-1", "detect", "-1.5"], {"jobs": -1, "graph": "-1.5"}),
+    (["detect", "-x y"], {"graph": "-x y"}),
+])
+def test_accepted_forms(argv, fields):
+    kind, ns = _same_as_oracle(argv)
+    assert kind == "ok"
+    assert {key: ns[key] for key in fields} == fields
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--records"], ["detect", "g", "extra"], ["det", "g"],
+    ["random", "--er", "4", "0.5", "--planted", "4", "0.5", "0.1",
+     "--trials", "1", "--seed", "1"],
+    ["random", "--trials", "1", "--seed", "1"],
+    ["random", "--er", "4", "--trials", "1", "--seed", "1"],
+    ["approx", "g"], ["--jobs", "x", "detect", "g"], ["detect", "g", "--e", "x"],
+    ["detect", "g", "--records=1"], ["detect", "g", "--emit-tree", "--"],
+    ["detect", "g", "--emit-tree", "o", "--"], ["--", "detect", "g"],
+    ["detect", "g", "-x"], ["detect", "g", "-hx"], ["--=x", "detect", "g"],
+])
+def test_usage_errors(capsys, argv):
+    _same_as_oracle(argv)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: hcratio ")
+    assert re.fullmatch(r"hcratio( [a-z]+)?: error: .+", error)
 
 
 def test_flags_do_not_leak_into_the_next_call(capsys, tmp_path):
@@ -569,21 +709,15 @@ def test_flags_do_not_leak_into_the_next_call(capsys, tmp_path):
     assert not emitted.exists()
 
     er = ["random", "--er", "12", "0.5", "--trials", "1", "--seed", "3"]
-    build_parser.cache_clear()  # the rebuilt parser binds the wrapped command
-    try:
-        with mock.patch.object(cli, "cmd_random",
-                               wraps=cli.cmd_random) as command:
-            run(capsys, "--jobs", "2", *er)
-            run(capsys, *er)
-    finally:
-        build_parser.cache_clear()
+    with mock.patch.object(cli, "cmd_random", wraps=cli.cmd_random) as command:
+        run(capsys, "--jobs", "2", *er)
+        run(capsys, *er)
     assert [c.args[0].jobs for c in command.call_args_list] == [2, 1]
 
 
 @pytest.mark.parametrize("bad", [[], ["--records", "detect"], ["cost", "g"],
                                  ["--jobs", "x", "brute", "g"]])
 def test_usage_error_leaves_the_next_call_alone(capsys, p4, bad):
-    build_parser.cache_clear()
     alone = run(capsys, "detect", p4)
     with pytest.raises(SystemExit) as exc:
         main(bad)
@@ -649,6 +783,12 @@ def test_installed_script_runs(installed_bin, p4):
                           timeout=SUBPROCESS_TIMEOUT)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "perfect\n"
+    proc = subprocess.run(["hcratio", "-h"],
+                          env=_env_without_pythonpath(PATH=path),
+                          capture_output=True, text=True,
+                          timeout=SUBPROCESS_TIMEOUT)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: hcratio ")
 
 
 def _readme_examples():

@@ -466,6 +466,16 @@ def test_byte_reader_matches_record_oracle(text):
         assert got == outcome(oracle_load_edge_list, text)
 
 
+@pytest.mark.parametrize("high", [0, 2**32, 2**64 - 1])
+def test_first_appearance_numbers_keys_in_order(high):
+    # keys below 2**32 are sorted as uint32; one key above keeps uint64
+    keys = [7, 3, 7, high, 9, 3, high, 2**32 - 1]
+    ids, first = graph_mod._first_appearance(np.array(keys, dtype=np.uint64))
+    order = list(dict.fromkeys(keys))
+    assert ids.tolist() == [order.index(k) for k in keys]
+    assert first.tolist() == [keys.index(k) for k in order]
+
+
 def test_large_ascii_edge_list_takes_the_byte_reader():
     assert len(BIG_EDGE_LIST) >= graph_mod._EDGE_BYTES_MIN
     want = outcome(oracle_load_edge_list, BIG_EDGE_LIST)
