@@ -306,7 +306,7 @@ def _level_base_cost(W: np.ndarray, levels: list[int]) -> int:
     return total
 
 
-# Entries of one row block of the product in ``_unit_base_cost`` (32 MB).
+# Entries of either product of one row block in ``_unit_base_cost`` (32 MB).
 _PRODUCT_BLOCK_ENTRIES = 2**23
 
 
@@ -315,26 +315,35 @@ def _unit_base_cost(U: np.ndarray) -> int:
 
     base = wedges - triangles.  Wedges are sum_v C(deg v, 2), deg v the row
     plus the column sum of float32 U.  Triangle i < j < k counts once, at
-    U[i, j], in (U U^T)[i, j], the common later neighbours of i and j; as
-    U[i, k] = 0 for k <= i, a row block R = [r0, r1) sums U[R, r0:] *
-    (U[R, r0:] @ U[r0:, r0:]^T), and no full product exists.  Exact while
-    n^3 < 2^63 (every n the integer weight bound admits): a product entry
-    is at most n < 2^24, exact in float32, as are the degree sums; a block
-    of |R| rows, |R| * n <= 2^23 or |R| = 1, sums to at most |R| * n^2 <
-    2^53, exact in float64; the n wedge counts, each below n^2, sum in int64.
+    U[i, j], in (U U^T)[i, j], the common later neighbours of i and j.  Row
+    blocks R = [r0, r1) have ceil(n/4) rows, at least 128 and at most
+    ``_PRODUCT_BLOCK_ENTRIES // n`` (at least 1); no n x n product exists.
+    Pairs inside R sum U[R, R] * (V @ V^T), V = U[R, r0:] as U[i, k] = 0 for
+    k <= i (numpy's symmetric path); pairs i in R, j >= r1 sum B * (B @
+    U[r1:, r1:]^T), B = U[R, r1:], as common later neighbours lie past r1.
+    Exact while n^3 < 2^63, every n the integer weight bound admits: a
+    product entry is at most n < 2^24, exact in float32, as are the degree
+    sums; a block's product sums to at most |R| * n^2 < 2^53 (|R| * n <=
+    2^23 or |R| = 1), exact in float64; the wedge counts sum in int64.
     """
     n = len(U)
     deg = (U.sum(axis=1) + U.sum(axis=0)).astype(np.int64)
     wedges = int((deg * (deg - 1)).sum()) // 2
-    step = max(1, _PRODUCT_BLOCK_ENTRIES // n)
+    step = max(1, min(max(-(-n // 4), 128), _PRODUCT_BLOCK_ENTRIES // n))
     buf = np.empty(min(step, n) * n, dtype=np.float32)
     triangles = 0
     for r0 in range(0, n, step):
-        rows = U[r0:r0 + step, r0:]
-        prod = buf[:rows.size].reshape(rows.shape)
-        np.matmul(rows, U[r0:, r0:].T, out=prod)
-        prod *= rows
-        triangles += int(prod.sum(dtype=np.float64))
+        r1 = min(r0 + step, n)
+        V = U[r0:r1, r0:]
+        products = [(V, V, V[:, :r1 - r0])]
+        if r1 < n:
+            B = V[:, r1 - r0:]
+            products.append((B, U[r1:, r1:], B))
+        for rows, cols, mask in products:
+            prod = buf[:len(rows) * len(cols)].reshape(len(rows), len(cols))
+            np.matmul(rows, cols.T, out=prod)
+            prod *= mask
+            triangles += int(prod.sum(dtype=np.float64))
     return wedges - triangles
 
 

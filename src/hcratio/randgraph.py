@@ -213,9 +213,10 @@ class ExperimentReport:
 
     @property
     def max_base_deviation(self) -> float:
-        """Largest relative deviation of a sampled base cost from its mean value."""
+        """Largest relative deviation of a sampled base cost from its mean
+        value, under the ratio rule of ``cost.ratio_of``: 0/0 deviates by 0."""
         e = self.expected_base_cost
-        return max(abs(b / e - 1.0) for b in self.base_costs) if e else inf
+        return max(abs(ratio_of(b, e, False) - 1.0) for b in self.base_costs)
 
     @property
     def rho_mean(self) -> float:

@@ -411,6 +411,15 @@ def oracle_base(W):
     return total
 
 
+def oracle_unit_base(U):
+    """Base cost of the 0/1 graph A = U + U^T in int64: wedges - triangles,
+    with wedges sum_v C(deg v, 2) and triangles trace(A^3) / 6."""
+    A = np.asarray(U, dtype=np.int64)
+    A = A + A.T
+    deg = A.sum(axis=1)
+    return int((deg * (deg - 1) // 2).sum()) - int(((A @ A) * A).sum()) // 6
+
+
 def oracle_float_base(W):
     """Float base cost summed row by row, each row's triplets in one numpy sum.
 

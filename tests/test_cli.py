@@ -212,6 +212,20 @@ def test_random_zero_over_zero_prints_one(capsys, model):
     assert lines[-1] == "rho-mean 1.0"
 
 
+@pytest.mark.parametrize("model", [["--er", "2", "0.5"], ["--er", "10", "0"],
+                                   ["--planted", "10", "0", "0"]])
+@pytest.mark.filterwarnings("ignore:planted model expects p > q")
+def test_random_zero_expected_base_deviates_by_zero(capsys, model):
+    # the expected base is 0 and so is every sampled base: 0/0 is no deviation
+    for records, form in (((), "{} 0.0"), (("--records",), "# {}\t0.0")):
+        code, out, _ = run(capsys, "random", *model, "--trials", "2",
+                           "--seed", "0", *records)
+        assert code == 0
+        lines = out.splitlines()
+        assert form.format("expected-base") in lines
+        assert form.format("base-max-rel-dev") in lines
+
+
 def test_brute_float_clique_is_exactly_one(capsys, tmp_path):
     n = 9
     g = tmp_path / "clique.txt"

@@ -1,5 +1,6 @@
 import re
 import string
+import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction
 from unittest import mock
@@ -39,6 +40,7 @@ from helpers import (
     oracle_load_matrix,
     oracle_minimal_valid_partition,
     oracle_triplet_rows,
+    oracle_unit_base,
     oracle_weights,
     path_graph,
     random_int_graph,
@@ -763,7 +765,7 @@ def test_base_cost_kernel_choice():
     assert not _takes_level_kernel(levels(63, 1))
     assert not _takes_level_kernel(levels(300, 40))
     assert not _takes_level_kernel(levels(400, 9))
-    # few levels on 64 or more vertices take one matmul per level
+    # few levels on 64 or more vertices take ``_unit_base_cost`` per level
     assert _takes_level_kernel(levels(64, 1))
     assert _takes_level_kernel(levels(400, 8))
     assert _takes_level_kernel(np.zeros((64, 64), dtype=np.int64))
@@ -785,6 +787,48 @@ def test_level_kernel_matches_loop_oracle(n, levels, zeros, block, seed):
     with mock.patch.object(graph_mod, "_PRODUCT_BLOCK_ENTRIES", block):
         assert _takes_level_kernel(W)
         assert base_cost(graph_from(W)) == oracle_base(W)
+
+
+def _unit_sample(n, planted, seed):
+    # planted models need an even n: an odd n drops the last vertex of n + 1
+    g = (gen_planted(n + n % 2, 0.7, 0.2, seed) if planted
+         else gen_er(n, 0.5, seed))
+    return np.triu(g.weights, 1)[:n, :n].astype(np.float32)
+
+
+@pytest.mark.parametrize("planted", [False, True])
+@pytest.mark.parametrize("n", [127, 128, 129, 255, 257, 513])
+def test_unit_kernel_matches_oracle_across_block_edges(n, planted):
+    # row blocks of ceil(n/4) rows, at least 128: n <= 128 is one block, 129
+    # and 257 end on a one-row block, 513 on a short one; budgets of 3n, 7n
+    # and 1 entries cut blocks of 3, 7 and 1 rows.  Each block but the last
+    # takes two products (its own pairs, its pairs with later rows).
+    U = _unit_sample(n, planted, n)
+    want = oracle_unit_base(U)
+    for budget, rows in ((2**23, max(-(-n // 4), 128)), (3 * n, 3),
+                         (7 * n, 7), (1, 1)):
+        with mock.patch.object(graph_mod, "_PRODUCT_BLOCK_ENTRIES", budget), \
+                mock.patch.object(np, "matmul", wraps=np.matmul) as spy:
+            assert graph_mod._unit_base_cost(U) == want
+        assert spy.call_count == 2 * -(-n // rows) - 1
+        assert all(call.kwargs["out"].size <= max(budget, n)
+                   for call in spy.call_args_list)
+
+
+def test_unit_kernel_memory_stays_within_its_budget():
+    # 32-row blocks of 512 columns: the shared product buffer is 64 KB, and
+    # numpy reports its buffers to tracemalloc; U itself is 1 MB
+    n, budget = 512, 2**14
+    U = _unit_sample(n, False, 3)
+    with mock.patch.object(graph_mod, "_PRODUCT_BLOCK_ENTRIES", budget):
+        tracemalloc.start()
+        try:
+            base = graph_mod._unit_base_cost(U)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert base == oracle_unit_base(U)
+    assert peak < 4 * budget * 4 < n * n * 4
 
 
 @pytest.mark.parametrize("top, slab",

@@ -2,6 +2,7 @@ import math
 import threading
 import tracemalloc
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -312,6 +313,20 @@ def test_experiment_zero_over_zero_is_one(model):
     assert rep.base_costs == (0, 0)
     assert rep.rho_estimates == (1.0, 1.0)
     assert rep.rho_mean == 1.0
+
+
+@pytest.mark.parametrize("params", [(1, 0.5), (2, 0.5), (10, 0.0),
+                                    (10, 0.0, 0.0)])
+@pytest.mark.filterwarnings("ignore:planted model expects p > q")
+def test_experiment_zero_expected_base_deviates_by_zero(params):
+    # every sampled base is then 0 too, and 0/0 reads as no deviation
+    model = (ErModel if len(params) == 2 else PlantedModel)(*params)
+    rep = run_experiment(model, trials=3, seed_base=0)
+    assert rep.expected_base_cost == 0.0
+    assert rep.base_costs == (0, 0, 0)
+    assert rep.max_base_deviation == 0.0
+    # a positive base over a zero mean still deviates without bound
+    assert replace(rep, base_costs=(0, 1, 0)).max_base_deviation == math.inf
 
 
 def test_experiment_positive_over_zero_is_inf():
