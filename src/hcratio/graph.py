@@ -354,30 +354,68 @@ def load_edge_list(text: str, epsilon: float = 0.0) -> SimilarityGraph:
     zero.  '#' starts a comment.  Raises SelfLoop / DuplicateEdge /
     InvalidWeight on bad records, for the first bad line in the file.
 
-    Two readers turn the comment-free text into vertex ids, weights and
-    labels, or decline it.  Large ASCII lists of short names and integer
-    weights go to the byte reader (``_edge_bytes``); any text it declines
-    goes to the general one (``_edge_tokens``).  Both leave self-loops and
-    repeated pairs to whole-array checks here.  A file that is declined or
-    fails a check is walked line by line for its first bad record.
+    Two readers turn the comment-free text into parts of vertex ids and
+    weights, and labels, or decline it.  Large ASCII lists of short names
+    and integer weights go to the byte reader (``_edge_bytes``), which reads
+    them chunk by chunk; any text it declines goes to the general one
+    (``_edge_tokens``).  Both leave self-loops and repeated pairs to the
+    checks of ``_fill_pairs``.  A file that is declined or fails a check is
+    walked line by line for its first bad record.
     """
-    body = _COMMENT.sub("", text)
+    mat, labels = _edge_matrix(_COMMENT.sub("", text))
+    if mat is None:
+        _raise_first_bad_record(text)
+    return SimilarityGraph(mat, labels=labels, epsilon=epsilon)
+
+
+def _edge_matrix(body: str) -> tuple[Optional[np.ndarray], list[str]]:
+    """The weight matrix and labels of the comment-free ``body``, or None
+    and no labels when a reader declines it or a check fails.  The parts
+    of the records and the body are dropped before the graph is built."""
     read = _edge_bytes(body) if len(body) >= _EDGE_BYTES_MIN else None
     if read is None:
         read = _edge_tokens(body)
-    if read is not None:
-        ends, w, labels = read
-        n = len(labels)
-        lo = np.minimum(ends[:, 0], ends[:, 1])
-        hi = np.maximum(ends[:, 0], ends[:, 1])
-        # counting the pairs rules repeats out without a sort (numpy's sorts
-        # page in a few hundred KB of code on first use)
-        if (lo < hi).all() and (not n or np.bincount(lo * n + hi).max() < 2):
-            mat = np.zeros((n, n), dtype=w.dtype)
-            mat[lo, hi] = w
-            mat[hi, lo] = w
-            return SimilarityGraph(mat, labels=labels, epsilon=epsilon)
-    _raise_first_bad_record(text)
+    if read is None:
+        return None, []
+    parts, labels = read
+    return _fill_pairs(parts, len(labels)), labels
+
+
+def _fill_pairs(parts: list[tuple[np.ndarray, np.ndarray]],
+                n: int) -> Optional[np.ndarray]:
+    """The n x n weight matrix of the records ``parts``, or None when one
+    is a self-loop or repeats a pair.
+
+    A part holds the (u, v) ids and the weights of consecutive records, all
+    parts in one dtype.  Repeats are found in the matrix itself: every
+    record writes its number, counted from 1, above the diagonal at its
+    pair, then each reads its number back before its weight goes in.
+    Parts write in order, so of two records of a pair in different parts
+    the later number stays and the earlier record, read back first, fails;
+    within a part at most one of the two numbers stays.  Either way a
+    repeat fails before a weight covers a number still to be read.
+    """
+    mat = np.zeros((n, n), dtype=parts[0][1].dtype)
+    for lo, hi, number, _ in _numbered_pairs(parts):
+        if not (lo < hi).all():
+            return None
+        mat[lo, hi] = number
+    for lo, hi, number, w in _numbered_pairs(parts):
+        if not (mat[lo, hi] == number).all():
+            return None
+        mat[lo, hi] = w
+        mat[hi, lo] = w
+    return mat
+
+
+def _numbered_pairs(parts):
+    """``(lo, hi, number, w)`` per part: each record's ids in order, its
+    number counted from 1 across the parts, and its weight."""
+    r = 1
+    for ends, w in parts:
+        yield (np.minimum(ends[:, 0], ends[:, 1]),
+               np.maximum(ends[:, 0], ends[:, 1]), np.arange(r, r + len(w)), w)
+        r += len(w)
 
 
 def _raise_first_bad_record(text: str):
@@ -406,10 +444,9 @@ _LINE = re.compile(r"[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*")
 _COMMENT = re.compile("#" + _LINE.pattern)
 
 
-def _edge_tokens(
-        body: str) -> Optional[tuple[np.ndarray, np.ndarray, list[str]]]:
-    """``(ends, w, labels)`` of the comment-free ``body``, or None when some
-    non-blank line does not hold three tokens or some weight is bad.
+def _edge_tokens(body: str) -> Optional[tuple[list, list[str]]]:
+    """``([(ends, w)], labels)`` of the comment-free ``body``, or None when
+    some non-blank line does not hold three tokens or some weight is bad.
 
     The line structure is decided by one ``split`` of the whole body: it
     holds no '#', so the '#' closing each non-blank line are the only '#'
@@ -429,7 +466,7 @@ def _edge_tokens(
     index = {name: i for i, name in enumerate(dict.fromkeys(toks))}
     ends = np.fromiter(map(index.__getitem__, toks), dtype=np.intp,
                        count=len(toks)).reshape(-1, 2)
-    return ends, w, list(index)
+    return [(ends, w)], list(index)
 
 
 # Byte classes of the byte reader, taken from Python's own rules: whitespace
@@ -446,50 +483,73 @@ _BYTE_CLASS = bytes(
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 # Comment-free size from which load_edge_list tries the byte reader.  On
 # ``v{i}`` names with one- or two-digit weights the two readers take the
-# same time near 3,000 bytes (300 records), and the byte reader is 10-15%
-# faster at 4,000 bytes; below that its fixed cost of some 40 numpy calls
-# loses.
+# same time near 4,100 bytes (400 records); the byte reader is 5% faster at
+# 4,600 bytes and 15% faster at 6,200, and below that its fixed cost of
+# some 50 numpy calls loses.
 _EDGE_BYTES_MIN = 4096
+# Bytes of comment-free text the byte reader takes at a time; a chunk runs
+# on through the next line break.
+_EDGE_CHUNK = 1 << 16
 
 
-def _edge_bytes(
-        body: str) -> Optional[tuple[np.ndarray, np.ndarray, list[str]]]:
-    """``(ends, w, labels)`` of an edge list read as bytes, or None.
+def _edge_bytes(body: str) -> Optional[tuple[list, list[str]]]:
+    """``(parts, labels)`` of an edge list read as bytes, or None.
 
     ``body`` is comment-free text.  The reader takes ASCII text of token and
     whitespace bytes (``_BYTE_CLASS``) whose every non-blank line holds
     three tokens, with names of at most 8 bytes and weights of at most 18
-    ASCII digits; for other text it returns None.  Token spans decide the
-    token count and sizes before any gather, then the weights, then the
-    line structure.  Names become uint64 keys, so only the n labels become
-    strings, and ids follow first appearance.  A weight sums its digits in
-    int64, which equals ``int`` of the token since 10**18 < 2**63.
+    ASCII digits, and some record; for other text it returns None.  It
+    walks the text in chunks of whole lines, ``_EDGE_CHUNK`` bytes and the
+    text through the next line break, so its temporaries follow the chunk,
+    not the text.  A chunk of 2**31 bytes or more, which only a
+    line about that long makes, is left to the general reader, so every
+    chunk's offsets fit int32.
+
+    In a chunk, token spans decide the token count and sizes before any
+    gather, then the weights, then the line structure.  Each chunk adds one
+    part: int32 ids of shape (m, 2) and int64 weights, 16 bytes a record.
+    Names become uint64 keys, numbered by first appearance through the
+    sorted table of the names seen so far, so only the n labels become
+    strings.  A weight sums its digits in int64, which equals ``int`` of
+    the token since 10**18 < 2**63.
     """
-    if not body.isascii() or len(body) < 8:
+    if not body.isascii():
         return None
-    raw = body.encode("ascii")
-    cls = raw.translate(_BYTE_CLASS)
-    if _OTHER in cls:
-        return None
-    cls = np.frombuffer(cls, np.uint8)
-    starts, stops = _token_spans(cls)
-    m, rest = divmod(len(starts), 3)
-    if rest or not m:
-        return None
-    size = (stops - starts).reshape(m, 3)
-    if size[:, :2].max() > 8 or size[:, 2].max() > 18:
-        return None
-    w = _digit_values(np.frombuffer(raw, np.uint8), starts[2::3], size[:, 2])
-    if w is None or not _three_per_line(cls, starts, stops):
-        return None
-    del cls
-    at = starts.reshape(m, 3)[:, :2].ravel()
-    size = size[:, :2].ravel()
-    del starts, stops
-    ids, first = _first_appearance(_name_keys(raw, at, size))
-    labels = [body[s:s + k]
-              for s, k in zip(at[first].tolist(), size[first].tolist())]
-    return ids.reshape(m, 2), w, labels
+    parts, labels = [], []
+    table = (np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int32))
+    a = 0
+    while a < len(body):
+        z = _LINE.match(body, min(a + _EDGE_CHUNK, len(body))).end() + 1
+        if z - a >= 2**31:
+            return None
+        chunk = body[a:z]
+        a = z
+        raw = chunk.encode("ascii")
+        cls = raw.translate(_BYTE_CLASS)
+        if _OTHER in cls:
+            return None
+        cls = np.frombuffer(cls, np.uint8)
+        starts, stops = _token_spans(cls)
+        m, rest = divmod(len(starts), 3)
+        if rest:
+            return None
+        if not m:
+            continue
+        size = (stops - starts).reshape(m, 3)
+        if size[:, :2].max() > 8 or size[:, 2].max() > 18:
+            return None
+        w = _digit_values(np.frombuffer(raw, np.uint8), starts[2::3],
+                          size[:, 2])
+        if w is None or not _three_per_line(cls, starts, stops):
+            return None
+        at = starts.reshape(m, 3)[:, :2].ravel()
+        size = size[:, :2].ravel()
+        keys = _name_keys(raw, at, size).reshape(m, 2)
+        ids, table, first = _first_appearance(keys, table)
+        labels += [chunk[s:s + k]
+                   for s, k in zip(at[first].tolist(), size[first].tolist())]
+        parts.append((ids, w))
+    return (parts, labels) if parts else None
 
 
 def _token_spans(cls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -497,15 +557,14 @@ def _token_spans(cls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Offset i is a bound where bytes i-1 and i differ in being token bytes,
     with whitespace taken before and after the text.  Starts and stops are
-    views of one int32 array while the text is below 2**31 bytes.
+    views of one int32 array, as a chunk is below 2**31 bytes.
     """
     token = cls == _TOKEN
     edge = np.empty(len(cls) + 1, dtype=bool)
     edge[0], edge[-1] = token[0], token[-1]
     np.not_equal(token[1:], token[:-1], out=edge[1:-1])
     del token
-    bounds = np.flatnonzero(edge).astype(
-        np.int32 if len(cls) < 2**31 else np.intp, copy=False)
+    bounds = np.flatnonzero(edge).astype(np.int32)
     return bounds[0::2], bounds[1::2]
 
 
@@ -546,31 +605,42 @@ def _name_keys(raw: bytes, at: np.ndarray, size: np.ndarray) -> np.ndarray:
 
     A key holds the token's bytes little-endian, zero above; in text with no
     NUL byte, distinct tokens get distinct keys.  Keys are read through the
-    unaligned 8-byte window at every offset; a token within the last 8
-    bytes is read from the last window, shifted down.
+    unaligned 8-byte window at every offset of ``raw`` padded with 7 NUL
+    bytes, so a text of any length has a window at each of its offsets.
     """
-    last = len(raw) - 8
-    window = np.ndarray((last + 1,), dtype="<u8", buffer=raw, strides=(1,))
-    keys = window[np.minimum(at, last)]
-    late = np.flatnonzero(at > last)
-    keys[late] >>= (8 * (at[late] - last)).astype(np.uint64)
+    window = np.ndarray((len(raw),), dtype="<u8", buffer=raw + bytes(7),
+                        strides=(1,))
+    keys = window[at]
     keys &= _LOW_BYTES[size]
     return keys
 
 
-def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ids of ``keys`` numbered by first appearance, and each id's first
-    index."""
-    if keys.max() < 2**32:  # names of at most 4 bytes sort faster as uint32
-        keys = keys.astype(np.uint32)
-    keys, ids = np.unique(keys, return_inverse=True)
-    n = len(keys)
-    first = np.full(n, len(ids))
-    np.minimum.at(first, ids, np.arange(len(ids)))
+def _first_appearance(keys: np.ndarray, table: tuple[np.ndarray, np.ndarray]):
+    """``(ids, table, first)`` for the (m, 2) name keys of m records: their
+    ids, numbered by first appearance after the names of ``table``; the
+    table with the new names added; and the index in ``keys.ravel()`` of
+    each new name's first appearance, in id order.
+
+    A table is the sorted keys of the names seen so far and the int32 id of
+    each.  Keys are looked up column by column: edge lists often give a
+    vertex's pairs together, and numpy's binary search is some four times
+    faster on keys that repeat or rise than on keys in no order.
+    """
+    known, number = table
+    pos = known.searchsorted(keys.T).T
+    # a key past the last known one is compared with that one
+    new = (known.take(pos, mode="clip") != keys if len(known)
+           else np.ones(keys.shape, dtype=bool))
+    if not new.any():
+        return number[pos], table, np.empty(0, dtype=np.intp)
+    fresh, first = np.unique(keys[new], return_index=True)
     order = np.argsort(first)
-    rank = np.empty(n, dtype=np.intp)
-    rank[order] = np.arange(n)
-    return rank[ids], first[order]
+    rank = np.empty(len(fresh), dtype=np.int32)
+    rank[order] = np.arange(len(known), len(known) + len(fresh))
+    at = known.searchsorted(fresh)
+    known, number = np.insert(known, at, fresh), np.insert(number, at, rank)
+    return (number[known.searchsorted(keys.T).T], (known, number),
+            np.flatnonzero(new)[first[order]])
 
 
 def load_matrix(text: str, epsilon: float = 0.0) -> SimilarityGraph:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, inf
+from math import comb
 from typing import Iterable, Iterator, Union
 
 import numpy as np
@@ -189,14 +189,18 @@ def expectation_tree_total_cost(model: Model) -> float:
 
 
 def predicted_rho(model: Model) -> float:
-    """Leading-order predicted optimum ratio for large n."""
+    """Leading-order predicted optimum ratio for large n, under the ratio
+    rule of ``cost.ratio_of``: the empty expectation graph (ER p = 0,
+    planted p = q = 0), where both sides vanish, reads 0/0 as 1."""
     if isinstance(model, ErModel):
+        # 2 / (3p - p^2) has cancelled a factor p of 2p / (3p^2 - p^3),
+        # which is 0/0 at p = 0, the one root of either denominator
         p = model.p
         den = 3.0 * p - p * p
-        return 2.0 / den if den else inf
+        return 2.0 / den if den else 1.0
     p, q = model.p, model.q
     den = 3.0 * (p + q) ** 2 - p ** 3 - 3.0 * p * q * q
-    return (2.0 * p + 6.0 * q) / den if den else inf
+    return ratio_of(2.0 * p + 6.0 * q, den, False)
 
 
 @dataclass(frozen=True)

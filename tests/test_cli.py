@@ -226,6 +226,20 @@ def test_random_zero_expected_base_deviates_by_zero(capsys, model):
         assert form.format("base-max-rel-dev") in lines
 
 
+@pytest.mark.parametrize("model", [["--er", "10", "0"],
+                                   ["--planted", "10", "0", "0"]])
+@pytest.mark.filterwarnings("ignore:planted model expects p > q")
+def test_random_empty_expectation_predicts_one(capsys, model):
+    # the empty expectation graph's predicted ratio is 0/0, which reads as 1
+    for records, form in (((), "{} 1.0"), (("--records",), "# {}\t1.0")):
+        code, out, _ = run(capsys, "random", *model, "--trials", "2",
+                           "--seed", "0", *records)
+        assert code == 0
+        lines = out.splitlines()
+        assert form.format("predicted-rho") in lines
+        assert form.format("rho-mean") in lines
+
+
 def test_brute_float_clique_is_exactly_one(capsys, tmp_path):
     n = 9
     g = tmp_path / "clique.txt"

@@ -393,11 +393,11 @@ def test_control_bytes_are_token_bytes_left_to_the_general_reader(byte):
 
 
 def in_byte_lane(body):
-    """Whether the byte reader must read comment-free ``body``: at least 8
-    ASCII bytes, each whitespace or printable, some record, three tokens on
-    every non-blank line, names of at most 8 bytes and weights of at most 18
-    ASCII digits."""
-    if not body.isascii() or len(body) < 8:
+    """Whether the byte reader must read comment-free ``body``: ASCII bytes,
+    each whitespace or printable, some record, three tokens on every
+    non-blank line, names of at most 8 bytes and weights of at most 18 ASCII
+    digits."""
+    if not body.isascii():
         return False
     if not all(c.isspace() or c.isprintable() for c in body):
         return False
@@ -408,9 +408,10 @@ def in_byte_lane(body):
 
 
 @st.composite
-def byte_reader_texts(draw):
-    """Records of short names and digit weights, some out of the byte
-    reader's lane, separated by every ASCII space and break."""
+def byte_reader_texts(draw, max_records=12):
+    """Up to ``max_records`` records of short names and digit weights, some
+    out of the byte reader's lane, separated by every ASCII space and
+    break."""
     # at most one of: names off the lane, weights off the lane, a NUL pair
     odd = draw(st.sampled_from(["", "names", "weights", "nul"]))
     chars = string.ascii_letters + string.digits + "+_"
@@ -429,7 +430,7 @@ def byte_reader_texts(draw):
     pairs = draw(st.lists(
         st.tuples(st.sampled_from(names), st.sampled_from(names)).filter(
             lambda t: t[0] != t[1]),
-        min_size=1, max_size=12, unique_by=frozenset))
+        min_size=1, max_size=max_records, unique_by=frozenset))
     lines = [[u, v, draw(weight)] for u, v in pairs]
     if draw(st.integers(0, 2)) == 0:
         u, v = draw(st.sampled_from(pairs))
@@ -468,14 +469,115 @@ def test_byte_reader_matches_record_oracle(text):
         assert got == outcome(oracle_load_edge_list, text)
 
 
+@contextmanager
+def chunks_of(size):
+    """The byte reader cut into chunks of ``size`` bytes, and taken from 0
+    bytes on; yields the list of the chunks' byte classes it reads."""
+    seen = []
+
+    def spans(cls):
+        seen.append(cls.copy())
+        return token_spans(cls)
+
+    token_spans = graph_mod._token_spans
+    with mock.patch.object(graph_mod, "_EDGE_CHUNK", size), \
+            mock.patch.object(graph_mod, "_EDGE_BYTES_MIN", 0), \
+            mock.patch.object(graph_mod, "_token_spans", spans):
+        yield seen
+
+
+def check_chunked_read(text, size):
+    """Whether the byte reader, in chunks of ``size`` bytes, reads ``text``
+    as it does in one chunk and loads what the record oracle loads; returns
+    the chunks' byte classes."""
+    body = graph_mod._COMMENT.sub("", text)
+    whole = graph_mod._edge_bytes(body)
+    with chunks_of(size) as seen:
+        read = graph_mod._edge_bytes(body)
+        assert (read is None) == (whole is None)
+        if read is None:
+            got = outcome(load_edge_list, text)
+        else:
+            with mock.patch.object(graph_mod, "_edge_tokens",
+                                   side_effect=AssertionError("general")):
+                got = outcome(load_edge_list, text)
+    assert got == outcome(oracle_load_edge_list, text)
+    if read is not None:
+        (one,), labels = whole
+        parts, chunk_labels = read
+        assert chunk_labels == labels
+        assert np.concatenate([ids for ids, _ in parts]).tolist() \
+            == one[0].tolist()
+        assert np.concatenate([w for _, w in parts]).tolist() \
+            == one[1].tolist()
+        chunks = seen[:len(seen) // 2]  # the first of the two equal reads
+        # line-aligned chunks of at least ``size`` bytes cover the body
+        assert b"".join(map(bytes, chunks)) \
+            == body.encode().translate(graph_mod._BYTE_CLASS)
+        assert all(len(c) >= size and c[-1] == graph_mod._BREAK
+                   for c in chunks[:-1])
+    return seen
+
+
+@given(byte_reader_texts(max_records=30),
+       st.sampled_from([8, 13, 64]) | st.integers(1, 80))
+@settings(max_examples=400, deadline=None)
+def test_byte_reader_in_chunks_matches_record_oracle(text, size):
+    check_chunked_read(text, size)
+
+
+# Records over every ASCII break, "\r\n" among them; names of up to 4 bytes
+# (keys below 2**32) and of 5 to 8 bytes, some first seen late; a short last
+# record.
+CHUNKED_TEXT = ("# head\nab c 1\r\nc abcdefgh 22\x0bd ab 3\x0c\x0cabcde d 4"
+                "\x1cxyzw12 c 5\x1dq ab 60\x1ed c 7\n\r\nwv ab 8 # end\nk q 9")
+
+
+@pytest.mark.parametrize("tail", [
+    "", "\n", "\nq q 1", "\nab xyzw12 1", "\nc ab 2", "\nk q", "\nk q 0.5",
+    "\nk abcdefghi 1", "\nk q 1 2", "\nk q " + "9" * 19])
+def test_byte_reader_cut_at_every_offset_matches_record_oracle(tail):
+    # a good tail keeps the reader, a self-loop or repeated pair fails its
+    # checks, and the rest make it decline: either way the same graph or
+    # error as the oracle, for every chunk size up to the whole text
+    text = CHUNKED_TEXT + tail
+    for size in range(1, len(text) + 2):
+        check_chunked_read(text, size)
+
+
+def test_chunks_end_after_every_break_and_inside_crlf():
+    body = graph_mod._COMMENT.sub("", CHUNKED_TEXT)
+    ends, short_tail = set(), False
+    for size in range(1, len(body) + 2):
+        with chunks_of(size) as seen:
+            assert graph_mod._edge_bytes(body) is not None
+        a = 0
+        for cls in seen[:-1]:
+            a += len(cls)
+            ends.add(body[a - 1:a + 1])
+        short_tail |= body.endswith("\nk q 9") and len(seen[-1]) == 5
+    assert {e[0] for e in ends} == set(ASCII_BREAKS)
+    assert "\r\n" in ends  # a cut between "\r" and "\n"
+    assert short_tail  # a last chunk of one record in 5 bytes
+
+
 @pytest.mark.parametrize("high", [0, 2**32, 2**64 - 1])
 def test_first_appearance_numbers_keys_in_order(high):
-    # keys below 2**32 are sorted as uint32; one key above keeps uint64
-    keys = [7, 3, 7, high, 9, 3, high, 2**32 - 1]
-    ids, first = graph_mod._first_appearance(np.array(keys, dtype=np.uint64))
+    # keys on both sides of 2**32 and the largest uint64, numbered across
+    # calls through the table of the names seen so far; the last call meets
+    # no new name
+    keys = [7, 3, 7, high, 9, 3, high, 2**32 - 1, 5, high, 2**32 - 1, 7, 7, 3]
     order = list(dict.fromkeys(keys))
-    assert ids.tolist() == [order.index(k) for k in keys]
-    assert first.tolist() == [keys.index(k) for k in order]
+    table = (np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int32))
+    for a, z in ((0, 4), (4, 6), (6, 12), (12, 14)):
+        part = np.array(keys[a:z], dtype=np.uint64).reshape(-1, 2)
+        ids, table, first = graph_mod._first_appearance(part, table)
+        assert ids.shape == part.shape
+        assert ids.ravel().tolist() == [order.index(k) for k in keys[a:z]]
+        new = [k for k in dict.fromkeys(keys[a:z]) if k not in keys[:a]]
+        assert first.tolist() == [keys[a:z].index(k) for k in new]
+        assert table[0].tolist() == sorted(set(keys[:z]))
+        assert table[1].tolist() == [order.index(k) for k in table[0].tolist()]
 
 
 def test_large_ascii_edge_list_takes_the_byte_reader():
@@ -486,6 +588,27 @@ def test_large_ascii_edge_list_takes_the_byte_reader():
                            side_effect=AssertionError("general reader")):
         assert outcome(load_edge_list, BIG_EDGE_LIST) == want
         assert outcome(load_graph, BIG_EDGE_LIST) == want
+
+
+def test_edge_list_load_memory_follows_the_chunk():
+    # 44,850 records in some 500 KB of text: besides the comment-free copy
+    # of the text, the loader holds 16 bytes a record (0.7 MB), one 64 KB
+    # chunk's temporaries and the 0.7 MB matrix, which SimilarityGraph
+    # copies once more; numpy reports its buffers to tracemalloc
+    n = 300
+    w = np.random.default_rng(n).integers(0, 100, size=n * (n - 1) // 2)
+    pairs = ((i, j) for i in range(n) for j in range(i + 1, n))
+    text = "# seeded\n" + "".join(
+        f"v{i} v{j} {x}\n" for (i, j), x in zip(pairs, w.tolist()))
+    tracemalloc.start()
+    try:
+        g = load_edge_list(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.labels == tuple(f"v{i}" for i in range(n))
+    assert g.weights[np.triu_indices(n, 1)].tolist() == w.tolist()
+    assert len(text) > 500_000 and peak <= 3.5e6
 
 
 def _set_record(text, k, line):

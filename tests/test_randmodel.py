@@ -161,7 +161,8 @@ def test_expectation_tree_total_closed_forms():
 def test_predicted_rho_er():
     for p in (0.1, 0.5, 1.0):
         assert predicted_rho(ErModel(50, p)) == pytest.approx(2 / (3 * p - p * p))
-    assert predicted_rho(ErModel(50, 0.0)) == math.inf
+    # p = 0 is the empty graph, 0/0 under the ratio rule
+    assert predicted_rho(ErModel(50, 0.0)) == 1.0
 
 
 def test_predicted_rho_planted_formula():
